@@ -66,7 +66,8 @@ class StreamConfig:
 
     ``rho=None`` means: tune the mixture scale at the first peek from the
     variance estimate there, then freeze it (re-tuning adaptively would break
-    the mixture-boundary guarantee). ``burn_in`` is the first peeking time.
+    the mixture-boundary guarantee); a peek whose variance estimate is zero
+    is deferred until one is positive. ``burn_in`` is the first peeking time.
     """
 
     estimand: str
@@ -419,10 +420,12 @@ class Stream:
     # -- scoring ------------------------------------------------------------
 
     def _clipped_propensity(self, model, X) -> np.ndarray:
-        raw = model.predict(X)
+        # Count against the unclipped probability: the model's own clip
+        # usually equals epsilon and would hide every event.
+        raw = model.probability(X)
         eps = self.config.epsilon
         self.clip_events += int(np.sum((raw < eps) | (raw > 1.0 - eps)))
-        return np.clip(raw, eps, 1.0 - eps)
+        return np.clip(np.clip(raw, *model.clip), eps, 1.0 - eps)
 
     def _score_rows(self, rows: np.ndarray, models: dict) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.config
@@ -460,6 +463,7 @@ class Stream:
             self._psi_a = _GrowArray()
             self._psi_b = _GrowArray()
             self._n_scored = 0
+            self.clip_events = 0  # every row is rescored by the new models
             self._cache_version = self._fit_version
         if self._n_scored < n:
             start = self._n_scored
@@ -504,8 +508,11 @@ class Stream:
             self._refit(n)
         psi_a, psi_b = self._scores_upto(n)
         fit = solve_arrays(psi_a, psi_b, fold_ids, cfg.k_folds, variant=cfg.dml_variant)
-        self.last_fit = fit
         sigma_sq = float(fit.sigma_sq_hat)
+        if self.rho is None and not sigma_sq > 0:
+            # rho cannot be tuned to a zero variance; a later peek may see some.
+            raise NotReadyError("variance estimate is zero, so rho cannot be tuned yet; peek deferred")
+        self.last_fit = fit
         if self.rho is None:
             self.rho = tune_rho(cfg.alpha, n, sigma_sq)
         sigma_hat = math.sqrt(sigma_sq)

@@ -102,14 +102,17 @@ class LogisticModel:
     clip: tuple[float, float]
     train_ids: frozenset = frozenset()
 
+    def probability(self, X) -> np.ndarray:
+        """The fitted probability before clipping."""
+        return expit(self.intercept + _as_2d(X) @ self.coef)
+
     def predict(self, X) -> np.ndarray:
-        p = expit(self.intercept + _as_2d(X) @ self.coef)
-        return np.clip(p, self.clip[0], self.clip[1])
+        return np.clip(self.probability(X), self.clip[0], self.clip[1])
 
 
 @dataclass
 class _Tree:
-    """Flat-array binary tree; feature == -1 marks a leaf."""
+    """Flat-array binary tree in preorder; feature == -1 marks a leaf."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -117,32 +120,91 @@ class _Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            rows = np.nonzero(internal)[0]
-            cur = node[rows]
-            go_left = X[rows, feat[rows]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.value[node]
+    @classmethod
+    def from_nodes(cls, nodes) -> "_Tree":
+        """From (feature, threshold, left, right, value) rows."""
+        feature, threshold, left, right, value = zip(*nodes)
+        return cls(
+            feature=np.array(feature, dtype=np.int64),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.int64),
+            right=np.array(right, dtype=np.int64),
+            value=np.array(value, dtype=float),
+        )
+
+
+# Rows per predict block are chosen so a (trees x rows) temporary holds
+# about this many elements.
+_PREDICT_BLOCK = 8192
 
 
 @dataclass
 class GbtModel:
+    """init_value plus learning_rate times each tree's leaf value, in tree order.
+
+    The trees are stacked for prediction at construction: do not edit `trees`.
+    """
+
     init_value: float
     learning_rate: float
     trees: list
     train_ids: frozenset = frozenset()
 
+    def __post_init__(self):
+        # Every tree's nodes in one set of flat arrays. A leaf links to itself
+        # on both sides, so walking `depth` steps from the roots parks each
+        # row at its leaf in every tree at once.
+        def stacked(attr, dtype):
+            return np.concatenate([getattr(t, attr) for t in self.trees] + [np.empty(0, dtype)])
+
+        sizes = [t.feature.size for t in self.trees]
+        self._roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+        offset = np.repeat(self._roots, sizes)
+        feature = stacked("feature", np.int64)
+        leaf = feature < 0
+        own = np.arange(feature.size)
+        left = np.where(leaf, own, stacked("left", np.int64) + offset)
+        right = np.where(leaf, own, stacked("right", np.int64) + offset)
+        # children[2k] is node k's right child and children[2k + 1] its left,
+        # so a step is children[2 * node + (x <= threshold)].
+        self._children = np.column_stack((right, left)).ravel()
+        self._feature = np.where(leaf, 0, feature)
+        self._threshold = stacked("threshold", float)
+        self._value = stacked("value", float)
+        self._n_features = int(feature.max(initial=-1)) + 1
+        frontier, self._depth = self._roots, 0
+        while (frontier := frontier[~leaf[frontier]]).size:
+            if self._depth == feature.size:
+                raise ParameterError("tree node links form a cycle")
+            frontier = np.unique(np.concatenate((left[frontier], right[frontier])))
+            self._depth += 1
+
     def predict(self, X) -> np.ndarray:
         X = _as_2d(X)
-        out = np.full(X.shape[0], self.init_value)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
+        n, d = X.shape
+        out = np.full(n, self.init_value)
+        if not self.trees:
+            return out
+        if d < self._n_features:
+            raise ParameterError(f"model splits on {self._n_features} covariates, got {d}")
+        flat_x = np.ascontiguousarray(X).ravel()
+        n_trees = len(self.trees)
+        block = max(1, _PREDICT_BLOCK // n_trees)
+        roots = self._roots[:, None]
+        for start in range(0, n, block):
+            stop = min(n, start + block)
+            node = np.broadcast_to(roots, (n_trees, stop - start))
+            row_base = np.arange(start * d, stop * d, d)
+            for _ in range(self._depth):
+                x = np.take(flat_x, row_base + np.take(self._feature, node))
+                node = np.take(self._children, 2 * node + (x <= np.take(self._threshold, node)))
+            # Row 0 holds the initial value and row t + 1 tree t's scaled leaf
+            # value; accumulating down the rows adds the trees in order, as a
+            # running sum does, and never switches to pairwise summation.
+            terms = np.empty((n_trees + 1, stop - start))
+            terms[0] = self.init_value
+            np.multiply(self.learning_rate, np.take(self._value, node), out=terms[1:])
+            out[start:stop] = np.add.accumulate(terms, axis=0)[-1]
         return out
 
 
@@ -356,95 +418,101 @@ def _bin_edges(col: np.ndarray, max_bins: int) -> np.ndarray:
     return np.unique(qs)
 
 
-def _best_split(codes_offset, starts, n_bins, total_bins, target, rows, min_leaf):
-    """Best (feature, bin) squared-error split of `target` over `rows`, or None.
+class _Bins:
+    """Per-fit binning; feature j's bin b has key j * stride + b."""
 
-    ``codes_offset`` holds per-feature bin codes shifted by per-feature
-    offsets so one flat bincount covers every feature at once.
-    """
-    best = None
-    best_gain = 0.0
-    total_n = rows.size
-    d = codes_offset.shape[1]
-    flat = codes_offset[rows].T.ravel()
-    counts = np.bincount(flat, minlength=total_bins)
-    sums = np.bincount(flat, weights=np.tile(target[rows], d), minlength=total_bins)
-    for j in range(d):
-        bins = n_bins[j]
-        if bins < 2:
-            continue
-        lo = starts[j]
-        cnt = counts[lo : lo + bins]
-        sm = sums[lo : lo + bins]
-        n_left = np.cumsum(cnt)[:-1]
-        s_left = np.cumsum(sm)[:-1]
+    def __init__(self, X: np.ndarray, max_bins: int):
+        self.n, self.d = X.shape
+        self.edges = [_bin_edges(X[:, j], max_bins) for j in range(self.d)]
+        n_bins = np.array([e.size + 1 for e in self.edges])
+        self.stride = int(n_bins.max())
+        codes = np.stack([np.searchsorted(e, X[:, j], side="left") for j, e in enumerate(self.edges)])
+        self.keys = codes + (np.arange(self.d) * self.stride)[:, None]
+        # NumPy's pairwise sum depends on the length summed, so each feature's
+        # total is taken over exactly its own bins, one group per bin count.
+        self.groups = [(np.nonzero(n_bins == b)[0], b) for b in np.unique(n_bins) if b >= 2]
+        self.root_n_left = self._n_left(self.keys)
+
+    def _n_left(self, keys: np.ndarray) -> np.ndarray:
+        counts = np.bincount(keys.ravel(), minlength=self.d * self.stride)
+        return counts.reshape(self.d, self.stride).cumsum(axis=1)[:, :-1]
+
+    def totals(self, sums: np.ndarray) -> np.ndarray:
+        """Per-feature sum of a (d, stride) histogram over the feature's own bins."""
+        out = np.zeros(self.d)
+        for feats, bins in self.groups:
+            out[feats] = sums[feats, :bins].sum(axis=1)
+        return out
+
+    def best_split(self, target: np.ndarray, rows: np.ndarray, min_leaf: int):
+        """Best (feature, bin) squared-error split of `target` over `rows`, or None.
+
+        Among near-equal gains the lowest feature index wins.
+        """
+        if not self.groups:
+            return None
+        total_n = rows.size
+        if total_n == self.n:  # the root: every row, counts fixed for the fit
+            keys, n_left, t = self.keys, self.root_n_left, target
+        else:
+            keys, t = self.keys.take(rows, axis=1), target[rows]
+            n_left = self._n_left(keys)
+        weights = t[None, :].repeat(self.d, 0).ravel()
+        sums = np.bincount(keys.ravel(), weights, self.d * self.stride).reshape(self.d, self.stride)
+        s_total = self.totals(sums)
+        s_left = sums.cumsum(axis=1)[:, :-1]
+        s_right = s_total[:, None] - s_left
         n_right = total_n - n_left
-        s_total = float(sm.sum())
-        s_right = s_total - s_left
+        # Positions past a feature's last bin have n_right == 0, so `ok`
+        # excludes them along with the splits that leave a leaf too small.
         ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not ok.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = np.where(ok, s_left**2 / n_left + s_right**2 / n_right, -np.inf)
-        base = s_total**2 / total_n
-        b = int(np.argmax(score))
-        gain = float(score[b] - base)
-        if gain > best_gain + 1e-12:
-            best_gain = gain
-            best = (j, b)
-    return best
+        score = np.where(
+            ok,
+            s_left**2 / np.maximum(n_left, 1) + s_right**2 / np.maximum(n_right, 1),
+            -np.inf,
+        )
+        best_b = score.argmax(axis=1)
+        best, best_gain = None, 0.0
+        for j, (sc, st) in enumerate(zip(score.max(axis=1).tolist(), s_total.tolist())):
+            if sc == -np.inf:
+                continue
+            # Python floats on purpose: float ** 2 rounds differently from
+            # NumPy's x * x in rare cases, and the gains must not change.
+            gain = sc - st**2 / total_n
+            if gain > best_gain + 1e-12:
+                best, best_gain = (j, int(best_b[j])), gain
+        return best
 
 
-def _build_tree(binning, target, y, f, loss, spec, lr):
+def _build_tree(bins: _Bins, target, y, f, loss, spec, lr):
     """Grow one depth-limited tree on the negative-gradient target.
 
-    Leaf values re-solve the actual loss over the leaf's rows, and the
-    training predictions f are updated in place by lr * value, so the
-    training loss cannot increase.
+    Nodes are numbered in depth-first preorder. Leaf values re-solve the
+    actual loss over the leaf's rows, and the training predictions f are
+    updated in place by lr * value, so the training loss cannot increase.
     """
-    codes, codes_offset, edges, starts, n_bins, total_bins = binning
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+    nodes: list[list] = []  # feature, threshold, left, right, value
 
     def build(rows: np.ndarray, depth: int) -> int:
-        nid = new_node()
+        nid = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
         split = None
         if depth < spec.max_depth and rows.size >= 2 * spec.min_leaf:
-            split = _best_split(
-                codes_offset, starts, n_bins, total_bins, target, rows, spec.min_leaf
-            )
+            split = bins.best_split(target, rows, spec.min_leaf)
         if split is None:
             leaf = loss.leaf_value(y[rows], f[rows])
-            value[nid] = leaf
+            nodes[nid][4] = leaf
             f[rows] += lr * leaf
             return nid
         j, b = split
-        mask = codes[rows, j] <= b
-        feature[nid] = j
-        threshold[nid] = float(edges[j][b])
-        left[nid] = build(rows[mask], depth + 1)
-        right[nid] = build(rows[~mask], depth + 1)
+        mask = bins.keys[j, rows] <= j * bins.stride + b
+        nodes[nid][:2] = j, float(bins.edges[j][b])
+        nodes[nid][2] = build(rows[mask], depth + 1)
+        nodes[nid][3] = build(rows[~mask], depth + 1)
         return nid
 
-    build(np.arange(codes.shape[0]), 0)
-    return _Tree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value),
-    )
+    build(np.arange(bins.n), 0)
+    return _Tree.from_nodes(nodes)
 
 
 def fit_gbt(X, y, loss: BoostLoss, spec: LearnerSpec, train_ids: Iterable[int] = ()) -> GbtModel:
@@ -465,24 +533,12 @@ def fit_gbt(X, y, loss: BoostLoss, spec: LearnerSpec, train_ids: Iterable[int] =
     trees: list[_Tree] = []
     lr = spec.learning_rate
     if lr > 0.0 and spec.n_rounds > 0:
-        edges = [_bin_edges(X[:, j], spec.max_bins) for j in range(X.shape[1])]
-        n_bins = [e.size + 1 for e in edges]
-        starts = np.concatenate(([0], np.cumsum(n_bins)[:-1]))
-        total_bins = int(sum(n_bins))
-        codes = np.column_stack(
-            [
-                np.searchsorted(edges[j], X[:, j], side="left")
-                if edges[j].size
-                else np.zeros(X.shape[0], dtype=np.int64)
-                for j in range(X.shape[1])
-            ]
-        )
-        binning = (codes, codes + starts[None, :], edges, starts, n_bins, total_bins)
+        bins = _Bins(X, spec.max_bins)
         for _ in range(spec.n_rounds):
             grad = np.asarray(loss.gradient(y, f), dtype=float)
             if not np.isfinite(grad).all():
                 raise FitError("fit_gbt: non-finite gradient during boosting")
-            trees.append(_build_tree(binning, -grad, y, f, loss, spec, lr))
+            trees.append(_build_tree(bins, -grad, y, f, loss, spec, lr))
             if not np.isfinite(f).all():
                 raise FitError("fit_gbt: non-finite predictions during boosting")
     return GbtModel(
@@ -622,22 +678,9 @@ def load_model(text: str) -> FittedNuisance:
             if head[0] != "tree":
                 raise ParameterError(f"expected a tree header, got {lines[idx]!r}")
             n_nodes = int(head[3])
-            feature, threshold, left, right, value = [], [], [], [], []
-            for k in range(n_nodes):
-                parts = lines[idx + 1 + k].split()
-                feature.append(int(parts[1]))
-                threshold.append(float(parts[2]))
-                left.append(int(parts[3]))
-                right.append(int(parts[4]))
-                value.append(float(parts[5]))
+            nodes = [lines[idx + 1 + k].split()[1:] for k in range(n_nodes)]
             trees.append(
-                _Tree(
-                    feature=np.array(feature, dtype=np.int64),
-                    threshold=np.array(threshold),
-                    left=np.array(left, dtype=np.int64),
-                    right=np.array(right, dtype=np.int64),
-                    value=np.array(value),
-                )
+                _Tree.from_nodes((int(f), float(t), int(l), int(r), float(v)) for f, t, l, r, v in nodes)
             )
             idx += 1 + n_nodes
         return GbtModel(

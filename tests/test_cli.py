@@ -15,7 +15,7 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def write_ate_csv(path, n=400, seed=0, treated_only=False):
+def write_ate_csv(path, n=400, seed=0, treated_only=False, constant_y=None):
     rng = np.random.default_rng(seed)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -23,7 +23,7 @@ def write_ate_csv(path, n=400, seed=0, treated_only=False):
         for _ in range(n):
             x = rng.normal()
             a = 1 if treated_only else int(rng.uniform() < 0.5)
-            y = 0.8 * a + x + 0.3 * rng.normal()
+            y = 0.8 * a + x + 0.3 * rng.normal() if constant_y is None else constant_y
             writer.writerow([repr(float(y)), a, repr(float(x))])
     return path
 
@@ -152,6 +152,17 @@ class TestMonitor:
         )
         assert code == 2
         assert "z" in err
+
+    def test_constant_outcome_is_not_a_usage_error(self, tmp_path, capsys):
+        # Every score is zero, so rho cannot be tuned and each peek defers.
+        data = write_ate_csv(tmp_path / "flat.csv", n=300, constant_y=2.0)
+        code, out, _ = run_cli(
+            ["monitor", "--input", str(data), "--estimand", "ate",
+             "--burn-in", "100", "--peek-every", "100"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["decision"] == "not_ready"
 
     def test_short_file_not_ready(self, tmp_path, capsys):
         data = write_ate_csv(tmp_path / "tiny.csv", n=30)

@@ -199,6 +199,44 @@ class TestPeek:
         with pytest.raises(AssertionError):
             stream.peek()
 
+    def test_zero_variance_first_peek_defers(self):
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=13))
+        rng = np.random.default_rng(13)
+        for i in range(100):
+            stream.push(Observation(y=2.0, a=i % 2, x=tuple(rng.normal(size=2))))
+        with pytest.raises(NotReadyError, match="variance"):
+            stream.peek()
+        assert stream.rho is None
+        assert stream.peek_log == []
+        stream.extend(null_effect_observations(100, seed=13))
+        point = stream.peek()
+        assert stream.rho is not None
+        assert point.sigma_hat > 0
+
+    def test_clip_events_count_unclipped_propensities(self):
+        # Treatment is nearly a step function of x0, so many fitted
+        # propensities fall outside [epsilon, 1 - epsilon] before clipping.
+        rng = np.random.default_rng(14)
+        n = 450
+        x = rng.normal(size=(n, 2))
+        a = (x[:, 0] + 0.05 * rng.normal(size=n) > 0).astype(int)
+        y = a + x[:, 1] + rng.normal(size=n)
+        obs = [Observation(y=float(y[i]), a=int(a[i]), x=tuple(x[i])) for i in range(n)]
+        config = StreamConfig(estimand="ate", burn_in=100, seed=14)
+        stream = Stream(config)
+        stream.extend(obs[:150])
+        stream.peek()
+        stream.extend(obs[150:])
+        stream.peek()  # n = 450 is past the refit at 400, so every row is rescored
+        eps = config.epsilon
+        expected = 0
+        for k in range(config.k_folds):
+            rows = [i for i in range(n) if stream.plan.fold_of(i) == k]
+            raw = stream._fold_models[k]["e"].probability(x[rows])
+            expected += int(np.sum((raw < eps) | (raw > 1.0 - eps)))
+        assert expected > 0
+        assert stream.clip_events == expected
+
     def test_plr_stream_runs(self):
         rng = np.random.default_rng(12)
         n = 600

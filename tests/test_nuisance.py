@@ -18,7 +18,16 @@ from seqdml import (
     load_model,
     minimize_gamma_constant,
 )
-from seqdml.nuisance import LogisticModel, NuModel, _gamma_constant_closed_form
+from seqdml.nuisance import (
+    GbtModel,
+    LogisticModel,
+    NuModel,
+    _bin_edges,
+    _Bins,
+    _gamma_constant_closed_form,
+    _PREDICT_BLOCK,
+    _Tree,
+)
 from seqdml.errors import FitError, ParameterError
 from seqdml.scores import gamma_loss_terms
 
@@ -148,11 +157,10 @@ class TestFitGbt:
         loss = GammaRegressionLoss(gamma)
         spec = LearnerSpec(kind="gbt", n_rounds=60)
         model = fit_gbt(x, y, loss, spec)
-        preds = np.full(300, model.init_value)
-        losses = [loss.mean_loss(y, preds)]
-        for tree in model.trees:
-            preds = preds + spec.learning_rate * tree.predict(x)
-            losses.append(loss.mean_loss(y, preds))
+        losses = [
+            loss.mean_loss(y, GbtModel(model.init_value, model.learning_rate, model.trees[:k]).predict(x))
+            for k in range(len(model.trees) + 1)
+        ]
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-12)
 
@@ -290,6 +298,215 @@ class TestDumpLoad:
             restored = load_model(dump_model(model))
             assert np.array_equal(model.predict(probe), restored.predict(probe))
 
+    def test_cyclic_tree_rejected(self):
+        text = (
+            "seqdml-model v1\nkind = gbt\ninit = 0.0\nlearning_rate = 0.1\nn_trees = 1\n"
+            "tree 0 nodes 1\nnode 0 0.0 0 0 0.0\n"
+        )
+        with pytest.raises(ParameterError, match="cycle"):
+            load_model(text)
+
     def test_header_required(self):
         with pytest.raises(ParameterError):
             load_model("kind = ridge\nintercept = 0.0\ncoef = 1.0\n")
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-tree predict and per-feature split search that the
+# vectorised GBT replaced. The fast path must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def oracle_tree_predict(tree, X):
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        internal = feat >= 0
+        if not internal.any():
+            break
+        rows = np.nonzero(internal)[0]
+        cur = node[rows]
+        go_left = X[rows, feat[rows]] <= tree.threshold[cur]
+        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.value[node]
+
+
+def oracle_predict(model, X):
+    X = np.asarray(X, dtype=float)
+    out = np.full(X.shape[0], model.init_value)
+    for tree in model.trees:
+        out += model.learning_rate * oracle_tree_predict(tree, X)
+    return out
+
+
+def oracle_best_split(codes_offset, starts, n_bins, total_bins, target, rows, min_leaf):
+    best = None
+    best_gain = 0.0
+    total_n = rows.size
+    d = codes_offset.shape[1]
+    flat = codes_offset[rows].T.ravel()
+    counts = np.bincount(flat, minlength=total_bins)
+    sums = np.bincount(flat, weights=np.tile(target[rows], d), minlength=total_bins)
+    for j in range(d):
+        bins = n_bins[j]
+        if bins < 2:
+            continue
+        lo = starts[j]
+        cnt = counts[lo : lo + bins]
+        sm = sums[lo : lo + bins]
+        n_left = np.cumsum(cnt)[:-1]
+        s_left = np.cumsum(sm)[:-1]
+        n_right = total_n - n_left
+        s_total = float(sm.sum())
+        s_right = s_total - s_left
+        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not ok.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.where(ok, s_left**2 / n_left + s_right**2 / n_right, -np.inf)
+        base = s_total**2 / total_n
+        b = int(np.argmax(score))
+        gain = float(score[b] - base)
+        if gain > best_gain + 1e-12:
+            best_gain = gain
+            best = (j, b)
+    return best
+
+
+def oracle_fit_gbt(X, y, loss, spec):
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    init = float(loss.init_value(y))
+    f = np.full(X.shape[0], init)
+    trees = []
+    lr = spec.learning_rate
+    if lr > 0.0 and spec.n_rounds > 0:
+        edges = [_bin_edges(X[:, j], spec.max_bins) for j in range(X.shape[1])]
+        n_bins = [e.size + 1 for e in edges]
+        starts = np.concatenate(([0], np.cumsum(n_bins)[:-1]))
+        total_bins = int(sum(n_bins))
+        codes = np.column_stack([np.searchsorted(e, X[:, j], side="left") for j, e in enumerate(edges)])
+        codes_offset = codes + starts[None, :]
+        for _ in range(spec.n_rounds):
+            target = -np.asarray(loss.gradient(y, f), dtype=float)
+            nodes = []
+
+            def build(rows, depth):
+                nid = len(nodes)
+                nodes.append([-1, 0.0, -1, -1, 0.0])
+                split = None
+                if depth < spec.max_depth and rows.size >= 2 * spec.min_leaf:
+                    split = oracle_best_split(
+                        codes_offset, starts, n_bins, total_bins, target, rows, spec.min_leaf
+                    )
+                if split is None:
+                    leaf = loss.leaf_value(y[rows], f[rows])
+                    nodes[nid][4] = leaf
+                    f[rows] += lr * leaf
+                    return nid
+                j, b = split
+                mask = codes[rows, j] <= b
+                nodes[nid][0] = j
+                nodes[nid][1] = float(edges[j][b])
+                nodes[nid][2] = build(rows[mask], depth + 1)
+                nodes[nid][3] = build(rows[~mask], depth + 1)
+                return nid
+
+            build(np.arange(X.shape[0]), 0)
+            cols = list(zip(*nodes))
+            trees.append(_Tree(
+                feature=np.array(cols[0], dtype=np.int64), threshold=np.array(cols[1]),
+                left=np.array(cols[2], dtype=np.int64), right=np.array(cols[3], dtype=np.int64),
+                value=np.array(cols[4]),
+            ))
+    return GbtModel(init_value=init, learning_rate=lr, trees=trees)
+
+
+def _fixture(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n = 400
+    base = rng.normal(size=(n, 3))
+    noise = rng.normal(size=n)
+    spec = LearnerSpec(kind="gbt", n_rounds=30)
+    if name == "constant":
+        X = np.full((n, 3), 1.5)
+    elif name == "mixed":
+        X = np.column_stack([np.zeros(n), base[:, 0], np.full(n, -2.0), base[:, 1]])
+    elif name == "few_unique":
+        X = np.column_stack([rng.integers(0, 5, n), rng.integers(0, 40, n), base[:, 0]])
+    elif name == "many_bins":
+        # several distinct bin counts, above and below NumPy's pairwise-sum block
+        X = np.column_stack([base[:, 0], rng.integers(0, 9, n), rng.integers(0, 150, n)])
+        spec = LearnerSpec(kind="gbt", n_rounds=30, max_bins=255, min_leaf=5)
+    elif name == "tied_columns":
+        X = np.column_stack([base[:, 0], base[:, 0], base[:, 1]])
+    elif name == "min_leaf_1_depth_1":
+        X = base
+        spec = LearnerSpec(kind="gbt", n_rounds=30, min_leaf=1, max_bins=2, max_depth=1)
+    elif name == "min_leaf_1_depth_3":
+        X = base
+        spec = LearnerSpec(kind="gbt", n_rounds=30, min_leaf=1, max_bins=2, max_depth=3)
+    elif name == "no_rounds":
+        X = base
+        spec = LearnerSpec(kind="gbt", n_rounds=0)
+    elif name == "zero_learning_rate":
+        X = base
+        spec = LearnerSpec(kind="gbt", learning_rate=0.0)
+    else:
+        raise KeyError(name)
+    y = np.sin(2.0 * base[:, 0]) + 0.5 * base[:, 1] ** 2 + noise
+    return X, y, spec
+
+
+FIXTURES = [
+    "constant", "mixed", "few_unique", "many_bins", "tied_columns",
+    "min_leaf_1_depth_1", "min_leaf_1_depth_3", "no_rounds", "zero_learning_rate",
+]
+LOSSES = {"squared": SquaredLoss(), "gamma": GammaRegressionLoss(2.5)}
+
+
+class TestFastGbtMatchesOracle:
+    @pytest.mark.parametrize("loss_name", sorted(LOSSES))
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_fit_and_predict_bit_identical(self, fixture, loss_name):
+        X, y, spec = _fixture(fixture)
+        loss = LOSSES[loss_name]
+        model = fit_gbt(X, y, loss, spec)
+        oracle = oracle_fit_gbt(X, y, loss, spec)
+        assert dump_model(model) == dump_model(oracle)
+        # the training rows, no rows, one row, and rows spanning several blocks
+        across_blocks = 3 * _PREDICT_BLOCK // max(1, len(model.trees)) + 7
+        probes = [X, X[:0], X[:1], np.random.default_rng(1).normal(size=(across_blocks, X.shape[1]))]
+        restored = load_model(dump_model(model))
+        for probe in probes:
+            want = oracle_predict(oracle, probe)
+            assert np.array_equal(model.predict(probe), want)
+            assert np.array_equal(restored.predict(probe), want)
+
+    def test_tied_columns_lower_index_wins(self):
+        X, y, spec = _fixture("tied_columns")
+        model = fit_gbt(X, y, SquaredLoss(), spec)
+        used = np.concatenate([t.feature for t in model.trees])
+        assert 0 in used and 1 not in used
+
+    def test_feature_totals_match_unpadded_sums(self):
+        # NumPy's pairwise sum rounds differently over a zero-padded row, so
+        # each feature's total must cover exactly its own bins.
+        rng = np.random.default_rng(2)
+        n = 600
+        i = np.arange(n)
+        X = np.column_stack([i % 3, i % 9, i % 150, np.ones(n)]).astype(float)
+        bins = _Bins(X, 255)
+        n_bins = [e.size + 1 for e in bins.edges]
+        assert n_bins == [3, 9, 150, 1]
+        for _ in range(20):
+            sums = rng.normal(size=(4, bins.stride)) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
+            for j, b in enumerate(n_bins):
+                sums[j, b:] = 0.0
+            want = [float(sums[j, :b].sum()) if b > 1 else 0.0 for j, b in enumerate(n_bins)]
+            assert bins.totals(sums).tolist() == want
+
+    def test_too_few_covariates_rejected(self):
+        X, y, spec = _fixture("mixed")
+        model = fit_gbt(X, y, SquaredLoss(), spec)
+        with pytest.raises(ParameterError):
+            model.predict(X[:, :2])
