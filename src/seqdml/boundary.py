@@ -69,34 +69,19 @@ def _validate_n(n: int) -> None:
         raise ParameterError(f"n must be a positive integer, got {n}")
 
 
-def scalar_radius(
-    n: int,
-    params: MixtureParams,
-    sigma_hat: float,
-    alt_parenthesization: bool = False,
-) -> float:
+def scalar_radius(n: int, params: MixtureParams, sigma_hat: float) -> float:
     """Half-width of the scalar normal-mixture confidence sequence at time n.
 
     Returns ``sigma_hat * sqrt(2(n rho^2 + 1)/(n^2 rho^2) *
     log(sqrt(n rho^2 + 1)/alpha))``: strictly decreasing in n and linear in
-    sigma_hat.
-
-    ``alt_parenthesization`` switches to the variant
-    ``sqrt((2 n rho^2 + 1)/(n^2 rho^2) * log((n rho^2 + 1)/alpha))`` that
-    appears in some write-ups of the scalar bound. It is off by default and
-    exists only for comparison; the default form is the d=1 specialization of
-    :func:`region_threshold` and is the one used throughout the engine.
+    sigma_hat. This is the d=1 specialization of :func:`region_threshold`.
     """
     _validate_n(n)
     if sigma_hat < 0:
         raise ParameterError(f"sigma_hat must be nonnegative, got {sigma_hat}")
     rho2 = params.rho * params.rho
-    if alt_parenthesization:
-        factor = (2.0 * n * rho2 + 1.0) / (n * n * rho2)
-        logterm = math.log((n * rho2 + 1.0) / params.alpha)
-    else:
-        factor = 2.0 * (n * rho2 + 1.0) / (n * n * rho2)
-        logterm = math.log(math.sqrt(n * rho2 + 1.0) / params.alpha)
+    factor = 2.0 * (n * rho2 + 1.0) / (n * n * rho2)
+    logterm = math.log(math.sqrt(n * rho2 + 1.0) / params.alpha)
     return sigma_hat * math.sqrt(factor * logterm)
 
 

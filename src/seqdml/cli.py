@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .crossfit import identification_diagnostics
-from .engine import Stream, StreamConfig, StopRule
+from .engine import _TABLE, Stream, StreamConfig, StopRule
 from .errors import (
     EstimandError,
     IngestError,
@@ -210,6 +210,11 @@ def _parse_binary(value: str, what: str, lineno: int) -> int:
     return int(num)
 
 
+def _needs_z(estimand: str) -> bool:
+    # An unknown estimand is reported later, when the stream is configured.
+    return estimand in _TABLE and _TABLE[estimand].needs_z
+
+
 def _read_observations(path: str, estimand: str) -> list[Observation]:
     try:
         fh = open(path, newline="")
@@ -222,8 +227,8 @@ def _read_observations(path: str, estimand: str) -> list[Observation]:
         except StopIteration:
             raise IngestError(f"{path} is empty; a header row is required")
         has_z, d = _validate_header(header)
-        if estimand == "late" and not has_z:
-            raise EstimandError("the late estimand requires a 'z' column")
+        if _needs_z(estimand) and not has_z:
+            raise EstimandError(f"the {estimand} estimand requires a 'z' column")
         n_cols = 2 + (1 if has_z else 0) + d
         observations = []
         for lineno, row in enumerate(reader, start=2):
@@ -391,6 +396,7 @@ def _cmd_monitor(opts: dict, stdout) -> int:
 
 
 def _score_fn_for(estimand: str, gamma: float):
+    # Not in the estimand table: looked up here per call, so wrappers on this module see it.
     if estimand == "ate":
         return aipw_score
     if estimand == "plr":
@@ -403,27 +409,7 @@ def _score_fn_for(estimand: str, gamma: float):
 
 
 def _gateaux_directions(estimand: str) -> dict[str, NuisanceEval]:
-    if estimand == "ate":
-        return {
-            "g1": NuisanceEval(g1=1.0),
-            "g0": NuisanceEval(g0=1.0),
-            "e": NuisanceEval(e=1.0),
-        }
-    if estimand == "plr":
-        return {"m": NuisanceEval(m=1.0), "e": NuisanceEval(e=1.0)}
-    if estimand == "late":
-        return {
-            "g_t": NuisanceEval(g_t=1.0),
-            "g_c": NuisanceEval(g_c=1.0),
-            "m_t": NuisanceEval(m_t=1.0),
-            "m_c": NuisanceEval(m_c=1.0),
-            "e": NuisanceEval(e=1.0),
-        }
-    return {
-        "g1": NuisanceEval(g1=1.0),
-        "e": NuisanceEval(e=1.0),
-        "nu": NuisanceEval(nu=1.0),
-    }
+    return {field: NuisanceEval(**{field: 1.0}) for field in _TABLE[estimand].evals}
 
 
 def _cmd_diagnose(opts: dict, stdout) -> int:
@@ -437,7 +423,7 @@ def _cmd_diagnose(opts: dict, stdout) -> int:
     if len(a_values) < 2:
         out("identification: FAIL (treatment is constant; propensity degenerate)")
         return 0
-    if estimand == "late" and len({obs.z for obs in observations}) < 2:
+    if _needs_z(estimand) and len({obs.z for obs in observations}) < 2:
         out("identification: FAIL (instrument is constant)")
         return 0
 

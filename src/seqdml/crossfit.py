@@ -51,28 +51,19 @@ def assign_fold(index: int, k_folds: int) -> int:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """K-fold assignment rule: round-robin by arrival index, or seeded random."""
+    """K-fold assignment: round-robin by arrival index."""
 
     k_folds: int
-    rule: str = "round_robin"
-    seed: int = 0
 
     def __post_init__(self):
         if self.k_folds < 2:
             raise ParameterError(f"k_folds must be >= 2, got {self.k_folds}")
-        if self.rule not in ("round_robin", "seeded_random"):
-            raise ParameterError(f"unknown fold rule {self.rule!r}")
 
     def fold_of(self, index: int) -> int:
-        if self.rule == "round_robin":
-            return assign_fold(index, self.k_folds)
-        rng = np.random.default_rng([self.seed, index])
-        return int(rng.integers(0, self.k_folds))
+        return assign_fold(index, self.k_folds)
 
     def assignments(self, n: int) -> np.ndarray:
-        if self.rule == "round_robin":
-            return np.arange(n, dtype=np.int64) % self.k_folds
-        return np.array([self.fold_of(i) for i in range(n)], dtype=np.int64)
+        return np.arange(n, dtype=np.int64) % self.k_folds
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,10 +56,147 @@ __all__ = [
     "pate_band",
 ]
 
-ESTIMANDS = ("ate", "late", "pate_lower", "pate_upper", "plr")
+# ---------------------------------------------------------------------------
+# Estimand table: each estimand is its nuisances plus a score linear in theta
+# ---------------------------------------------------------------------------
+
+# The fit and score functions below look the learners and kernels up in this
+# module's globals when called, so wrappers installed there see every call.
+
+def _fit_outcome(spec: LearnerSpec, X, target, weight, base):
+    if spec.kind == "ridge":
+        return fit_ridge(X, target, spec)
+    return fit_gbt(X, target, SquaredLoss(), spec)
+
+
+def _fit_probability(spec: LearnerSpec, X, target, weight, base):
+    return fit_logistic(X, target, spec)
+
+
+def _fit_gamma(spec: LearnerSpec, X, target, weight, base):
+    return fit_g1_gamma(X, target, weight, spec)
+
+
+def _fit_nu(spec: LearnerSpec, X, target, weight, base):
+    return fit_nu(X, target, base, weight, spec)
+
+
+# role: (StreamConfig spec field, accepted learner kinds, fit function)
+_ROLES = {
+    "outcome": ("outcome_spec", ("ridge", "gbt"), _fit_outcome),
+    "propensity": ("propensity_spec", ("logistic",), _fit_probability),
+    "treatment": ("treatment_spec", ("logistic",), _fit_probability),
+    "gamma": ("gamma_spec", ("gbt",), _fit_gamma),
+    "nu": ("nu_spec", ("logistic",), _fit_nu),
+}
+
+
+# Score functions: (y, a, z, predictions by bundle key, loss weights by
+# bundle key) -> (psi_a, psi_b) over the scored rows.
+
+def _ate_score(y, a, z, p, w):
+    return np.full(y.size, -1.0), aipw_pseudo_outcome(y, a, p["g1"], p["g0"], p["e"])
+
+
+def _plr_score(y, a, z, p, w):
+    return plr_terms(y, a, p["m"], p["e"])
+
+
+def _late_score(y, a, z, p, w):
+    return late_terms(y, a, z, p["g_t"], p["g_c"], p["m_t"], p["m_c"], p["e"])
+
+
+def _pate_score(y, a, z, p, w):
+    pseudo_t = partial_id_pseudo_outcome(y, a, p["g_t"], p["nu_t"], p["e"], w["g_t"], "treated")
+    pseudo_c = partial_id_pseudo_outcome(y, a, p["g_c"], p["nu_c"], p["e"], w["g_c"], "control")
+    return np.full(y.size, -1.0), pseudo_t - pseudo_c
+
+
+@dataclass(frozen=True)
+class _Nuisance:
+    """One nuisance, fit on each fold's training rows.
+
+    ``target`` is the column it is fit to and scored against in the holdout
+    RMSE. nu has no observable target: it is None there, and nu is fit to y.
+    """
+
+    key: str  # name in the fold bundle and in holdout_rmse
+    role: str  # a key of _ROLES
+    subset: str  # training rows: "all", or a column and its value ("a1", "z0", ...)
+    target: str | None
+    side: str | None = None  # gamma and nu: the bound side that sets the loss weight
+    base: str | None = None  # nu: the gamma nuisance it splits y at
+
+
+@dataclass(frozen=True)
+class _Estimand:
+    """An estimand: its nuisances and its score, which is linear in theta."""
+
+    nuisances: tuple[_Nuisance, ...]  # in fit order
+    score: Callable  # vectorised, see the score functions above
+    evals: dict[str, str]  # NuisanceEval field -> bundle key, in diagnose's order
+    classes: str | None = None  # column whose two classes every training fold needs
+    needs_z: bool = False
+
+
+def _pate(treated_side: str) -> _Estimand:
+    control_side = "upper" if treated_side == "lower" else "lower"
+    return _Estimand(
+        nuisances=(
+            _Nuisance("g_t", "gamma", "a1", "y", side=treated_side),
+            _Nuisance("nu_t", "nu", "a1", None, side=treated_side, base="g_t"),
+            _Nuisance("g_c", "gamma", "a0", "y", side=control_side),
+            _Nuisance("nu_c", "nu", "a0", None, side=control_side, base="g_c"),
+            _Nuisance("e", "propensity", "all", "a"),
+        ),
+        score=_pate_score,
+        # The evaluations describe the treated arm's score.
+        evals={"g1": "g_t", "e": "e", "nu": "nu_t"},
+        classes="a",
+    )
+
+
+_TABLE = {
+    "ate": _Estimand(
+        nuisances=(
+            _Nuisance("g1", "outcome", "a1", "y"),
+            _Nuisance("g0", "outcome", "a0", "y"),
+            _Nuisance("e", "propensity", "all", "a"),
+        ),
+        score=_ate_score,
+        evals={"g1": "g1", "g0": "g0", "e": "e"},
+        classes="a",
+    ),
+    "plr": _Estimand(
+        nuisances=(
+            _Nuisance("m", "outcome", "all", "y"),
+            _Nuisance("e", "propensity", "all", "a"),
+        ),
+        score=_plr_score,
+        evals={"m": "m", "e": "e"},
+    ),
+    "late": _Estimand(
+        nuisances=(
+            _Nuisance("g_t", "outcome", "z1", "y"),
+            _Nuisance("g_c", "outcome", "z0", "y"),
+            _Nuisance("m_t", "treatment", "z1", "a"),
+            _Nuisance("m_c", "treatment", "z0", "a"),
+            _Nuisance("e", "propensity", "all", "z"),
+        ),
+        score=_late_score,
+        evals={"g_t": "g_t", "g_c": "g_c", "m_t": "m_t", "m_c": "m_c", "e": "e"},
+        classes="z",
+        needs_z=True,
+    ),
+    "pate_lower": _pate("lower"),
+    "pate_upper": _pate("upper"),
+}
+
+_CLASS_NAMES = {"a": "treatment", "z": "instrument"}
+
+ESTIMANDS = tuple(sorted(_TABLE))
 
 NDJSON_FIELDS = ("n", "estimate", "sigma", "lower", "upper", "lower_int", "upper_int", "stopped")
-
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -80,7 +218,6 @@ class StreamConfig:
     refit_factor: float = 2.0
     seed: int = 0
     dml_variant: str = "dml2"
-    fold_rule: str = "round_robin"
     outcome_spec: LearnerSpec | None = None
     propensity_spec: LearnerSpec | None = None
     treatment_spec: LearnerSpec | None = None
@@ -108,20 +245,20 @@ class StreamConfig:
             raise ParameterError(f"refit_factor must exceed 1, got {self.refit_factor}")
         if self.dml_variant not in ("dml1", "dml2"):
             raise ParameterError(f"dml_variant must be 'dml1' or 'dml2', got {self.dml_variant}")
-        object.__setattr__(
-            self, "outcome_spec",
-            self.outcome_spec or LearnerSpec(kind="ridge", seed=self.seed),
-        )
-        for name in ("propensity_spec", "treatment_spec", "nu_spec"):
-            spec = getattr(self, name)
-            object.__setattr__(
-                self, name,
-                spec or LearnerSpec(kind="logistic", clip=self.epsilon, seed=self.seed),
-            )
-        object.__setattr__(
-            self, "gamma_spec",
-            self.gamma_spec or LearnerSpec(kind="gbt", seed=self.seed),
-        )
+        # An unset spec gets its role's first accepted kind; probabilities clip at epsilon.
+        for name, kinds, _fit in _ROLES.values():
+            if getattr(self, name) is None:
+                clip = self.epsilon if kinds[0] == "logistic" else LearnerSpec.clip
+                spec = LearnerSpec(kind=kinds[0], clip=clip, seed=self.seed)
+                object.__setattr__(self, name, spec)
+        for nuis in _TABLE[self.estimand].nuisances:
+            name, kinds, _fit = _ROLES[nuis.role]
+            kind = getattr(self, name).kind
+            if kind not in kinds:
+                raise ParameterError(
+                    f"{name} for {self.estimand} must be of kind "
+                    f"{' or '.join(map(repr, kinds))}, got {kind!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -231,7 +368,8 @@ class Stream:
 
     def __init__(self, config: StreamConfig):
         self.config = config
-        self.plan = FoldPlan(config.k_folds, config.fold_rule, config.seed)
+        self.plan = FoldPlan(config.k_folds)
+        self._estimand = _TABLE[config.estimand]
         self.rho: float | None = config.rho
         self.peek_log: list[CsPoint] = []
         self.stopped_at: int | None = None
@@ -261,9 +399,10 @@ class Stream:
 
     def push(self, obs: Observation) -> "Stream":
         """Append one observation; fold assignment only, no estimation."""
-        needs_z = self.config.estimand == "late"
-        if needs_z and obs.z is None:
-            raise IngestError("the late estimand requires an instrument z on every row")
+        if self._estimand.needs_z and obs.z is None:
+            raise IngestError(
+                f"the {self.config.estimand} estimand requires an instrument z on every row"
+            )
         if self._x_dim is None:
             self._x_dim = len(obs.x)
             self._X = _GrowArray(columns=self._x_dim)
@@ -288,110 +427,65 @@ class Stream:
 
     # -- nuisance fitting ---------------------------------------------------
 
-    def _fit_regressor(self, spec: LearnerSpec, X, y, ids):
-        if spec.kind == "ridge":
-            return fit_ridge(X, y, spec, train_ids=ids)
-        if spec.kind == "gbt":
-            return fit_gbt(X, y, SquaredLoss(), spec, train_ids=ids)
-        raise ParameterError(f"{spec.kind!r} cannot be used as a regression learner here")
+    def _columns(self, rows) -> dict[str, np.ndarray]:
+        return {"y": self._y.view()[rows], "a": self._a.view()[rows], "z": self._z.view()[rows]}
 
-    def _fit_prob(self, spec: LearnerSpec, X, labels, ids):
-        if spec.kind != "logistic":
-            raise ParameterError("probability nuisances require a logistic learner")
-        return fit_logistic(X, labels, spec, train_ids=ids)
+    def _loss_weights(self) -> dict[str, float]:
+        """Loss weights of the gamma and nu nuisances, by bundle key."""
+        return {
+            nuis.key: effective_gamma(GammaParam(self.config.gamma), nuis.side)
+            for nuis in self._estimand.nuisances
+            if nuis.side is not None
+        }
 
-    def _check_two_classes(self, values: np.ndarray, what: str, fold: int) -> None:
-        if values.size == 0 or values.min() == values.max():
-            raise NotReadyError(
-                f"fold {fold}: training data has a single {what} class; peek deferred"
-            )
+    @staticmethod
+    def _subset(subset: str, cols: dict[str, np.ndarray]):
+        """Index of a nuisance's training subset: every row, or a boolean mask."""
+        if subset == "all":
+            return slice(None)
+        return cols[subset[0]] == float(subset[1:])
 
     def _fit_fold(self, fold: int, train_idx: np.ndarray) -> dict:
-        cfg = self.config
+        cfg, est = self.config, self._estimand
+        cols = self._columns(train_idx)
+        if est.classes is not None:
+            values = cols[est.classes]
+            if values.size == 0 or values.min() == values.max():
+                raise NotReadyError(
+                    f"fold {fold}: training data has a single {_CLASS_NAMES[est.classes]} "
+                    "class; peek deferred"
+                )
+        weights = self._loss_weights()
         X = self._X.view()[train_idx]
-        y = self._y.view()[train_idx]
-        a = self._a.view()[train_idx]
-        ids = frozenset(int(i) for i in train_idx)
-        models: dict = {"train_ids": ids}
-        if cfg.estimand == "ate":
-            self._check_two_classes(a, "treatment", fold)
-            treated = a == 1.0
-            models["g1"] = self._fit_regressor(
-                cfg.outcome_spec, X[treated], y[treated], frozenset(map(int, train_idx[treated]))
+        models: dict = {"train_ids": frozenset(int(i) for i in train_idx)}
+        for nuis in est.nuisances:
+            spec_name, _kinds, fit = _ROLES[nuis.role]
+            rows = self._subset(nuis.subset, cols)
+            models[nuis.key] = fit(
+                getattr(cfg, spec_name), X[rows], cols[nuis.target or "y"][rows],
+                weights.get(nuis.key), models.get(nuis.base),
             )
-            models["g0"] = self._fit_regressor(
-                cfg.outcome_spec, X[~treated], y[~treated], frozenset(map(int, train_idx[~treated]))
-            )
-            models["e"] = self._fit_prob(cfg.propensity_spec, X, a, ids)
-        elif cfg.estimand == "plr":
-            models["m"] = self._fit_regressor(cfg.outcome_spec, X, y, ids)
-            models["e"] = self._fit_prob(cfg.propensity_spec, X, a, ids)
-        elif cfg.estimand == "late":
-            z = self._z.view()[train_idx]
-            self._check_two_classes(z, "instrument", fold)
-            assigned = z == 1.0
-            ids_t = frozenset(map(int, train_idx[assigned]))
-            ids_c = frozenset(map(int, train_idx[~assigned]))
-            models["g_t"] = self._fit_regressor(cfg.outcome_spec, X[assigned], y[assigned], ids_t)
-            models["g_c"] = self._fit_regressor(cfg.outcome_spec, X[~assigned], y[~assigned], ids_c)
-            models["m_t"] = self._fit_prob(cfg.treatment_spec, X[assigned], a[assigned], ids_t)
-            models["m_c"] = self._fit_prob(cfg.treatment_spec, X[~assigned], a[~assigned], ids_c)
-            models["e"] = self._fit_prob(cfg.propensity_spec, X, z, ids)
-        else:  # pate_lower / pate_upper
-            self._check_two_classes(a, "treatment", fold)
-            gamma = GammaParam(cfg.gamma)
-            side_t = "lower" if cfg.estimand == "pate_lower" else "upper"
-            side_c = "upper" if cfg.estimand == "pate_lower" else "lower"
-            w_t = effective_gamma(gamma, side_t)
-            w_c = effective_gamma(gamma, side_c)
-            treated = a == 1.0
-            ids_t = frozenset(map(int, train_idx[treated]))
-            ids_c = frozenset(map(int, train_idx[~treated]))
-            models["g_t"] = fit_g1_gamma(X[treated], y[treated], w_t, cfg.gamma_spec, ids_t)
-            models["nu_t"] = fit_nu(X[treated], y[treated], models["g_t"], w_t, cfg.nu_spec, ids_t)
-            models["g_c"] = fit_g1_gamma(X[~treated], y[~treated], w_c, cfg.gamma_spec, ids_c)
-            models["nu_c"] = fit_nu(X[~treated], y[~treated], models["g_c"], w_c, cfg.nu_spec, ids_c)
-            models["e"] = self._fit_prob(cfg.propensity_spec, X, a, ids)
         return models
-
-    def _holdout_targets(self, y, a, z) -> dict[str, tuple[np.ndarray, str]]:
-        """Map nuisance name to (observable target, holdout subset key)."""
-        cfg = self.config
-        if cfg.estimand == "ate":
-            return {"g1": (y, "a1"), "g0": (y, "a0"), "e": (a, "all")}
-        if cfg.estimand == "plr":
-            return {"m": (y, "all"), "e": (a, "all")}
-        if cfg.estimand == "late":
-            return {
-                "g_t": (y, "z1"), "g_c": (y, "z0"),
-                "m_t": (a, "z1"), "m_c": (a, "z0"), "e": (z, "all"),
-            }
-        # nu has no directly observable target, so it is not tracked.
-        return {"g_t": (y, "a1"), "g_c": (y, "a0"), "e": (a, "all")}
 
     def _record_holdout_rmse(self, n: int, bundles: list[dict]) -> None:
         X = self._X.view()[:n]
-        y = self._y.view()[:n]
-        a = self._a.view()[:n]
-        z = self._z.view()[:n]
+        cols = self._columns(slice(n))
         fold_ids = np.asarray(self._fold[:n])
-        targets = self._holdout_targets(y, a, z)
+        # nu has no directly observable target, so it is not tracked.
+        tracked = [
+            (nuis, self._subset(nuis.subset, cols))
+            for nuis in self._estimand.nuisances
+            if nuis.target is not None
+        ]
         sums: dict[str, list[float]] = {}
         for k, models in enumerate(bundles):
             hold = fold_ids == k
-            masks = {
-                "all": hold,
-                "a1": hold & (a == 1.0),
-                "a0": hold & (a == 0.0),
-                "z1": hold & (z == 1.0),
-                "z0": hold & (z == 0.0),
-            }
-            for name, (target_vals, mask_key) in targets.items():
-                mask = masks[mask_key]
-                if name not in models or mask.sum() == 0:
+            for nuis, subset in tracked:
+                mask = hold if nuis.subset == "all" else hold & subset
+                if mask.sum() == 0:
                     continue
-                err = target_vals[mask] - models[name].predict(X[mask])
-                sums.setdefault(name, []).append(float(np.sqrt(np.mean(err * err))))
+                err = cols[nuis.target][mask] - models[nuis.key].predict(X[mask])
+                sums.setdefault(nuis.key, []).append(float(np.sqrt(np.mean(err * err))))
         for name, vals in sums.items():
             self.holdout_rmse.setdefault(name, []).append((n, float(np.mean(vals))))
 
@@ -428,35 +522,17 @@ class Stream:
         return np.clip(np.clip(raw, *model.clip), eps, 1.0 - eps)
 
     def _score_rows(self, rows: np.ndarray, models: dict) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.config
         X = self._X.view()[rows]
-        y = self._y.view()[rows]
-        a = self._a.view()[rows]
-        e = self._clipped_propensity(models["e"], X)
-        if cfg.estimand == "ate":
-            psi_b = aipw_pseudo_outcome(y, a, models["g1"].predict(X), models["g0"].predict(X), e)
-            return np.full(rows.size, -1.0), psi_b
-        if cfg.estimand == "plr":
-            return plr_terms(y, a, models["m"].predict(X), e)
-        if cfg.estimand == "late":
-            z = self._z.view()[rows]
-            return late_terms(
-                y, a, z,
-                models["g_t"].predict(X), models["g_c"].predict(X),
-                models["m_t"].predict(X), models["m_c"].predict(X), e,
+        cols = self._columns(rows)
+        preds = {
+            nuis.key: (
+                self._clipped_propensity(models[nuis.key], X)
+                if nuis.role == "propensity"
+                else models[nuis.key].predict(X)
             )
-        gamma = GammaParam(cfg.gamma)
-        side_t = "lower" if cfg.estimand == "pate_lower" else "upper"
-        side_c = "upper" if cfg.estimand == "pate_lower" else "lower"
-        pseudo_t = partial_id_pseudo_outcome(
-            y, a, models["g_t"].predict(X), models["nu_t"].predict(X), e,
-            effective_gamma(gamma, side_t), "treated",
-        )
-        pseudo_c = partial_id_pseudo_outcome(
-            y, a, models["g_c"].predict(X), models["nu_c"].predict(X), e,
-            effective_gamma(gamma, side_c), "control",
-        )
-        return np.full(rows.size, -1.0), pseudo_t - pseudo_c
+            for nuis in self._estimand.nuisances
+        }
+        return self._estimand.score(cols["y"], cols["a"], cols["z"], preds, self._loss_weights())
 
     def _scores_upto(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self._cache_version != self._fit_version:
@@ -568,13 +644,16 @@ class Stream:
 
         For the partial-identification estimands the evaluation describes the
         treated-arm score (g1 = treated-arm regression, nu = its nu model).
-        Requires nuisances to have been fit (peek at least once).
+        Requires nuisances to have been fit (peek at least once). Propensities
+        are clipped to [epsilon, 1 - epsilon] without counting clip events.
         """
         from .scores import NuisanceEval
 
         if self._fold_models is None:
             raise NotReadyError("nuisances have not been fit yet; peek first")
-        cfg = self.config
+        cfg, est = self.config, self._estimand
+        roles = {nuis.key: nuis.role for nuis in est.nuisances}
+        fields = list(est.evals)
         n = self.n
         fold_ids = np.asarray(self._fold[:n])
         evals: list[NuisanceEval | None] = [None] * n
@@ -584,32 +663,14 @@ class Stream:
                 continue
             models = self._fold_models[k]
             X = self._X.view()[rows]
-            eps = cfg.epsilon
-            e = np.clip(models["e"].predict(X), eps, 1.0 - eps)
-            if cfg.estimand == "ate":
-                g1 = models["g1"].predict(X)
-                g0 = models["g0"].predict(X)
-                for j, i in enumerate(rows):
-                    evals[i] = NuisanceEval(g1=float(g1[j]), g0=float(g0[j]), e=float(e[j]))
-            elif cfg.estimand == "plr":
-                m = models["m"].predict(X)
-                for j, i in enumerate(rows):
-                    evals[i] = NuisanceEval(m=float(m[j]), e=float(e[j]))
-            elif cfg.estimand == "late":
-                g_t = models["g_t"].predict(X)
-                g_c = models["g_c"].predict(X)
-                m_t = models["m_t"].predict(X)
-                m_c = models["m_c"].predict(X)
-                for j, i in enumerate(rows):
-                    evals[i] = NuisanceEval(
-                        g_t=float(g_t[j]), g_c=float(g_c[j]),
-                        m_t=float(m_t[j]), m_c=float(m_c[j]), e=float(e[j]),
-                    )
-            else:
-                g_t = models["g_t"].predict(X)
-                nu_t = models["nu_t"].predict(X)
-                for j, i in enumerate(rows):
-                    evals[i] = NuisanceEval(g1=float(g_t[j]), e=float(e[j]), nu=float(nu_t[j]))
+            columns = []
+            for key in est.evals.values():
+                values = models[key].predict(X)
+                if roles[key] == "propensity":
+                    values = np.clip(values, cfg.epsilon, 1.0 - cfg.epsilon)
+                columns.append(values.tolist())
+            for i, values in zip(rows.tolist(), zip(*columns)):
+                evals[i] = NuisanceEval(**dict(zip(fields, values)))
         return evals
 
 

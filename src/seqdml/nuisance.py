@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Union
+from typing import Protocol, Union
 
 import numpy as np
 from scipy.special import expit
@@ -89,7 +89,6 @@ def _as_2d(X) -> np.ndarray:
 class RidgeModel:
     intercept: float
     coef: np.ndarray
-    train_ids: frozenset = frozenset()
 
     def predict(self, X) -> np.ndarray:
         return self.intercept + _as_2d(X) @ self.coef
@@ -100,7 +99,6 @@ class LogisticModel:
     intercept: float
     coef: np.ndarray
     clip: tuple[float, float]
-    train_ids: frozenset = frozenset()
 
     def probability(self, X) -> np.ndarray:
         """The fitted probability before clipping."""
@@ -148,7 +146,6 @@ class GbtModel:
     init_value: float
     learning_rate: float
     trees: list
-    train_ids: frozenset = frozenset()
 
     def __post_init__(self):
         # Every tree's nodes in one set of flat arrays. A leaf links to itself
@@ -214,7 +211,6 @@ class NuModel:
 
     prob_model: LogisticModel
     gamma: float
-    train_ids: frozenset = frozenset()
 
     def predict(self, X) -> np.ndarray:
         p = self.prob_model.predict(X)
@@ -315,7 +311,7 @@ def _gamma_constant_closed_form(residuals: np.ndarray, gamma_weight: float) -> f
 # Fitting
 # ---------------------------------------------------------------------------
 
-def fit_ridge(X, y, spec: LearnerSpec, train_ids: Iterable[int] = ()) -> RidgeModel:
+def fit_ridge(X, y, spec: LearnerSpec) -> RidgeModel:
     """Ridge regression minimizing mean squared error + lambda ||coef||^2.
 
     Fit on centered data so the intercept is unpenalized; with lambda > 0 the
@@ -336,11 +332,7 @@ def fit_ridge(X, y, spec: LearnerSpec, train_ids: Iterable[int] = ()) -> RidgeMo
         coef = np.linalg.solve(gram, rhs)
     else:
         coef = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    return RidgeModel(
-        intercept=y_mean - float(x_mean @ coef),
-        coef=coef,
-        train_ids=frozenset(train_ids),
-    )
+    return RidgeModel(intercept=y_mean - float(x_mean @ coef), coef=coef)
 
 
 def _logistic_objective(design, y, beta, lam):
@@ -349,7 +341,7 @@ def _logistic_objective(design, y, beta, lam):
     return nll + lam * float(beta[1:] @ beta[1:])
 
 
-def fit_logistic(X, y, spec: LearnerSpec, train_ids: Iterable[int] = ()) -> LogisticModel:
+def fit_logistic(X, y, spec: LearnerSpec) -> LogisticModel:
     """Penalized logistic regression by damped Newton iterations.
 
     Maximizes the ridge-penalized log-likelihood (intercept unpenalized) to
@@ -400,12 +392,8 @@ def fit_logistic(X, y, spec: LearnerSpec, train_ids: Iterable[int] = ()) -> Logi
             "fit_logistic: complete separation (training loss is zero); "
             "set logistic_lambda > 0"
         )
-    return LogisticModel(
-        intercept=float(beta[0]),
-        coef=beta[1:],
-        clip=(spec.clip, 1.0 - spec.clip),
-        train_ids=frozenset(train_ids),
-    )
+    clip = (spec.clip, 1.0 - spec.clip)
+    return LogisticModel(intercept=float(beta[0]), coef=beta[1:], clip=clip)
 
 
 def _bin_edges(col: np.ndarray, max_bins: int) -> np.ndarray:
@@ -515,7 +503,7 @@ def _build_tree(bins: _Bins, target, y, f, loss, spec, lr):
     return _Tree.from_nodes(nodes)
 
 
-def fit_gbt(X, y, loss: BoostLoss, spec: LearnerSpec, train_ids: Iterable[int] = ()) -> GbtModel:
+def fit_gbt(X, y, loss: BoostLoss, spec: LearnerSpec) -> GbtModel:
     """Gradient boosting with depth-limited regression trees and a pluggable loss.
 
     Each round fits a tree to the negative gradient (squared-error splits on
@@ -541,43 +529,26 @@ def fit_gbt(X, y, loss: BoostLoss, spec: LearnerSpec, train_ids: Iterable[int] =
             trees.append(_build_tree(bins, -grad, y, f, loss, spec, lr))
             if not np.isfinite(f).all():
                 raise FitError("fit_gbt: non-finite predictions during boosting")
-    return GbtModel(
-        init_value=init,
-        learning_rate=lr,
-        trees=trees,
-        train_ids=frozenset(train_ids),
-    )
+    return GbtModel(init_value=init, learning_rate=lr, trees=trees)
 
 
-def fit_g1_gamma(
-    X, y, gamma: "GammaParam | float", spec: LearnerSpec, train_ids: Iterable[int] = ()
-) -> GbtModel:
+def fit_g1_gamma(X, y, gamma: "GammaParam | float", spec: LearnerSpec) -> GbtModel:
     """Asymmetric-loss regression for one arm's bound, on that arm's rows only.
 
     The effective weight is Gamma for a lower bound and 1/Gamma for an upper
     bound; the caller passes whichever applies.
     """
-    return fit_gbt(X, y, GammaRegressionLoss(gamma), spec, train_ids=train_ids)
+    return fit_gbt(X, y, GammaRegressionLoss(gamma), spec)
 
 
 def fit_nu(
-    X,
-    y,
-    g1_model: FittedNuisance,
-    gamma: "GammaParam | float",
-    spec: LearnerSpec,
-    train_ids: Iterable[int] = (),
+    X, y, g1_model: FittedNuisance, gamma: "GammaParam | float", spec: LearnerSpec
 ) -> NuModel:
     """Estimate nu(x) = P(y >= g1(x) | x) + gamma P(y < g1(x) | x) on one arm's rows."""
     X = _as_2d(X)
     y = np.asarray(y, dtype=float)
     labels = (y >= g1_model.predict(X)).astype(float)
-    prob_model = fit_logistic(X, labels, spec, train_ids=train_ids)
-    return NuModel(
-        prob_model=prob_model,
-        gamma=_gamma_weight(gamma),
-        train_ids=frozenset(train_ids),
-    )
+    return NuModel(prob_model=fit_logistic(X, labels, spec), gamma=_gamma_weight(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +563,8 @@ def dump_model(model: FittedNuisance) -> str:
     """Serialize a fitted model to the line-oriented `key = value` text format.
 
     Trees are written as one `node` row per node: feature threshold left
-    right value, with feature -1 marking leaves. Training-row bookkeeping is
-    runtime-only and not serialized.
+    right value, with feature -1 marking leaves. A model holds no record of
+    its training rows; the engine keeps that per fold.
     """
     lines = [FORMAT_HEADER]
     if isinstance(model, RidgeModel):

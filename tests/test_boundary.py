@@ -71,15 +71,6 @@ class TestScalarRadius:
             want = float(oracle_scalar_radius(n, rho, alpha, sigma))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
-    def test_alt_parenthesization_variant(self):
-        # (2 n rho^2 + 1)/(n^2 rho^2) * log((n rho^2 + 1)/alpha) at the same
-        # point evaluates to 0.66533114649298687... (oracle, 50 digits).
-        got = scalar_radius(
-            100, MixtureParams(rho=0.1, alpha=0.05), 2.0, alt_parenthesization=True
-        )
-        assert got == pytest.approx(0.6653311464929869, abs=1e-12)
-        assert got != pytest.approx(0.7312789742727697, abs=1e-3)
-
     def test_invalid_params(self):
         with pytest.raises(ParameterError):
             MixtureParams(rho=0.0, alpha=0.05)

@@ -81,6 +81,20 @@ class TestPush:
         with pytest.raises(ParameterError):
             StreamConfig(estimand="ate", refit_factor=1.0)
 
+    def test_learner_kinds_checked_per_role(self):
+        cases = [
+            ("pate_lower", {"gamma_spec": LearnerSpec(kind="ridge")}, "gamma_spec"),
+            ("pate_upper", {"nu_spec": LearnerSpec(kind="gbt")}, "nu_spec"),
+            ("ate", {"outcome_spec": LearnerSpec(kind="logistic")}, "outcome_spec"),
+        ]
+        for estimand, specs, name in cases:
+            # Rejected when the config is built, before any data or peek.
+            with pytest.raises(ParameterError, match=name):
+                StreamConfig(estimand=estimand, **specs)
+        # A role the estimand does not use is not checked.
+        StreamConfig(estimand="ate", gamma_spec=LearnerSpec(kind="ridge"))
+        StreamConfig(estimand="plr", outcome_spec=LearnerSpec(kind="gbt"))
+
 
 class TestPeek:
     def test_not_ready_below_burn_in(self):
