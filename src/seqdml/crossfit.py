@@ -3,8 +3,15 @@
 The pooled estimator solves the double-averaged moment equation
 (1/K) sum_k (1/|I_k|) sum_{i in I_k} (psi_a_i theta + psi_b_i) = 0; the
 per-fold variant solves each fold separately and averages the solutions.
-All pooled means use compensated summation (math.fsum) so results do not
-depend on the order observations appear within a fold.
+
+Every solve reads its fold means off a ``ScoreMoments`` accumulator: per
+fold, the row count and exact sums of psi_a, psi_b and the second moments
+the sandwich variance needs. An exact sum is kept as a short list of floats
+(``_exact_add``); its leading float is the sum correctly rounded, the value
+math.fsum over all of the fold's rows returns. So the fold sums, and with
+them theta_hat and J_hat, do not depend on the order of rows within a fold or
+on the blocks they were added in, and a stream that adds only its new rows
+at each peek gets the same estimates as a solve over every row.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ __all__ = [
     "FoldSummary",
     "DmlFit",
     "IdentificationReport",
+    "ScoreMoments",
     "assign_fold",
     "solve_dml1",
     "solve_dml2",
@@ -131,16 +139,187 @@ def _solve_linear(mean_a: np.ndarray, mean_b: np.ndarray, context: str) -> np.nd
     return np.linalg.solve(mean_a, -mean_b)
 
 
-def _fold_indices(fold_ids: np.ndarray, k_folds: int) -> list[np.ndarray]:
-    groups = [np.nonzero(fold_ids == k)[0] for k in range(k_folds)]
-    empty = [k for k, g in enumerate(groups) if g.size == 0]
-    if empty:
-        raise ParameterError(f"folds {empty} are empty; every fold needs data")
-    return groups
+def _exact_add(partials: list[float], values: list[float]) -> list[float]:
+    """Floats whose exact sum is that of ``partials`` and ``values`` together.
+
+    The first is that sum correctly rounded, which math.fsum of the same
+    numbers also returns; each later one is what the floats before it leave
+    over, correctly rounded, so the list shrinks the exact sum to a few floats
+    however many values went in.
+    """
+    terms = partials + values
+    out = [math.fsum(terms)]
+    while math.isfinite(out[-1]):
+        terms.append(-out[-1])
+        rest = math.fsum(terms)
+        if rest == 0.0:
+            break
+        out.append(rest)
+    return out
 
 
 def _scalar_or_array(value: np.ndarray, d: int):
     return float(value.reshape(())) if d == 1 else value
+
+
+class ScoreMoments:
+    """Exact running sums of the scores of every fold.
+
+    Per fold it keeps the row count and the exact sums of every entry of
+    psi_a, psi_b and three second moments of psi_c = psi_a theta_c + psi_b,
+    the score at a centre theta_c fixed when the moments are built:
+    psi_c psi_c^T, psi_c (x) psi_a and psi_a (x) psi_a. Adding rows costs
+    O(rows added); ``solve`` works from the K folds' sums alone.
+
+    The sandwich variance needs the second moment of psi at theta_hat. At
+    theta_hat = theta_c that is the psi_c psi_c^T sum itself; elsewhere the two
+    cross moments move it by terms of the order of theta_hat - theta_c, with
+    no cancellation of large sums, so it matches a re-solve over every row
+    to within a few rounding errors.
+    """
+
+    def __init__(self, k_folds: int, d: int, theta_c: np.ndarray | None):
+        self.k_folds = k_folds
+        self.d = d
+        self.theta_c = theta_c
+        self.n = 0
+        self.counts = np.zeros(k_folds, dtype=np.int64)
+        # Column ranges: psi_a, psi_b, psi_c psi_c^T, psi_c (x) psi_a, psi_a (x) psi_a.
+        ends = np.cumsum([0, d * d, d, d * d, d**3, d**4]).tolist()
+        self._cols = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+        self.sums = np.zeros((k_folds, ends[-1]))
+        self._partials = [[[0.0] for _ in range(ends[-1])] for _ in range(k_folds)]
+
+    @classmethod
+    def centred(cls, psi_a, psi_b, fold_ids, k_folds: int, variant: str = "dml2") -> "ScoreMoments":
+        """Moments of score arrays centred at their own cross-fitted estimate."""
+        psi_a, psi_b, d = _as_matrix_stack(psi_a, psi_b)
+        moments = cls(k_folds, d, theta_c=None)
+        masks = moments._take_rows(fold_ids)
+        moments._fold_in(masks, _first_moments(psi_a, psi_b), 0)
+        moments.theta_c = moments._estimate(variant)[0]
+        moments._fold_in(masks, moments._second_moments(psi_a, psi_b), moments._cols[2].start)
+        return moments
+
+    def add(self, psi_a, psi_b, fold_ids) -> None:
+        """Fold score rows into the sums of their folds."""
+        psi_a, psi_b, _ = _as_matrix_stack(psi_a, psi_b)
+        masks = self._take_rows(fold_ids)
+        block = np.hstack([_first_moments(psi_a, psi_b), self._second_moments(psi_a, psi_b)])
+        self._fold_in(masks, block, 0)
+
+    def _take_rows(self, fold_ids) -> list[np.ndarray]:
+        """Count rows into their folds; returns each fold's row mask."""
+        fold_ids = np.asarray(fold_ids)
+        masks = [fold_ids == k for k in range(self.k_folds)]
+        self.counts += [int(mask.sum()) for mask in masks]
+        self.n += len(fold_ids)
+        return masks
+
+    def _second_moments(self, psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
+        m = len(psi_a)
+        psi_c = psi_a @ self.theta_c + psi_b
+        return np.hstack([
+            (psi_c[:, :, None] * psi_c[:, None, :]).reshape(m, -1),
+            (psi_c[:, :, None, None] * psi_a[:, None, :, :]).reshape(m, -1),
+            (psi_a[:, :, :, None, None] * psi_a[:, None, None, :, :]).reshape(m, -1),
+        ])
+
+    def _fold_in(self, masks: list[np.ndarray], block: np.ndarray, start: int) -> None:
+        """Add each fold's rows of ``block`` to the sums of columns start, start + 1, ..."""
+        for k, mask in enumerate(masks):
+            rows = block[mask]
+            if not len(rows):
+                continue
+            for j, column in enumerate(rows.T.tolist(), start):
+                partials = _exact_add(self._partials[k][j], column)
+                self._partials[k][j] = partials
+                self.sums[k, j] = partials[0]
+
+    def _require_every_fold(self) -> None:
+        if not self.counts.all():
+            empty = np.flatnonzero(self.counts == 0).tolist()
+            raise ParameterError(f"folds {empty} are empty; every fold needs data")
+
+    def _fold_sums(self, col: int, shape: tuple[int, ...]) -> np.ndarray:
+        return self.sums[:, self._cols[col]].reshape((self.k_folds,) + shape)
+
+    def _estimate(self, variant: str):
+        """(theta, J, per-fold thetas) from the fold sums of psi_a and psi_b."""
+        _check_variant(variant)
+        self._require_every_fold()
+        d = self.d
+        fold_means_a = self._fold_sums(0, (d, d)) / self.counts[:, None, None]
+        fold_means_b = self._fold_sums(1, (d,)) / self.counts[:, None]
+        pooled_a = _fsum_mean(fold_means_a)
+        pooled_b = _fsum_mean(fold_means_b)
+        fold_thetas: list[np.ndarray | None] = []
+        for k, (ma, mb) in enumerate(zip(fold_means_a, fold_means_b)):
+            if variant == "dml1":
+                fold_thetas.append(_solve_linear(ma, mb, f"fold {k}"))
+            else:
+                smin, _ = _min_max_singular(ma)
+                fold_thetas.append(np.linalg.solve(ma, -mb) if smin > SINGULAR_TOL else None)
+        if variant == "dml1":
+            theta = _fsum_mean(np.array(fold_thetas))
+        else:
+            theta = _solve_linear(pooled_a, pooled_b, "pooled")
+        return theta, pooled_a, fold_thetas
+
+    def sandwich(self, theta: np.ndarray, j_hat: np.ndarray, variant: str = "dml2"):
+        """Sandwich variance at theta and the per-fold sandwiches; dml1
+        averages the per-fold ones."""
+        self._require_every_fold()
+        d = self.d
+        sums = self._fold_sums(2, (d, d))
+        step = theta - self.theta_c
+        if step.any():
+            cross = np.einsum("kijl,l->kij", self._fold_sums(3, (d, d, d)), step)
+            square = np.einsum("kiljm,l,m->kij", self._fold_sums(4, (d, d, d, d)), step, step)
+            sums = sums + cross + cross.transpose(0, 2, 1) + square
+        fold_mids = sums / self.counts[:, None, None]
+        smin, _ = _min_max_singular(np.atleast_2d(j_hat))
+        if smin <= SINGULAR_TOL:
+            raise IdentificationError(
+                f"variance: Jacobian singular (smallest singular value {smin:.3e})",
+                smallest_singular_value=smin,
+            )
+        j_inv = np.linalg.inv(np.atleast_2d(j_hat))
+        fold_sigmas = [_project_psd(j_inv @ m @ j_inv.T) for m in fold_mids]
+        if variant == "dml1":
+            return _project_psd(_fsum_mean(np.array(fold_sigmas))), fold_sigmas
+        return _project_psd(j_inv @ _fsum_mean(fold_mids) @ j_inv.T), fold_sigmas
+
+    def solve(self, variant: str = "dml2") -> DmlFit:
+        """Cross-fitted estimate, Jacobian and sandwich variance of the rows so far."""
+        d = self.d
+        theta, j_hat, fold_thetas = self._estimate(variant)
+        sigma_sq, fold_sigmas = self.sandwich(theta, j_hat, variant)
+        per_fold = tuple(
+            FoldSummary(
+                fold=k,
+                count=int(self.counts[k]),
+                theta=None if fold_thetas[k] is None else _scalar_or_array(fold_thetas[k], d),
+                sigma_sq=_scalar_or_array(fold_sigmas[k], d),
+            )
+            for k in range(self.k_folds)
+        )
+        return DmlFit(
+            theta_hat=_scalar_or_array(theta, d),
+            j_hat=_scalar_or_array(j_hat, d),
+            sigma_sq_hat=_scalar_or_array(sigma_sq, d),
+            n=self.n,
+            per_fold=per_fold,
+        )
+
+
+def _first_moments(psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
+    return np.hstack([psi_a.reshape(len(psi_a), -1), psi_b])
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("dml1", "dml2"):
+        raise ParameterError(f"variant must be 'dml1' or 'dml2', got {variant!r}")
 
 
 def solve_arrays(
@@ -150,69 +329,8 @@ def solve_arrays(
     k_folds: int,
     variant: str = "dml2",
 ) -> DmlFit:
-    """Cross-fitted solve on raw score arrays (the vectorized fast path)."""
-    if variant not in ("dml1", "dml2"):
-        raise ParameterError(f"variant must be 'dml1' or 'dml2', got {variant!r}")
-    psi_a, psi_b, d = _as_matrix_stack(psi_a, psi_b)
-    n = psi_a.shape[0]
-    groups = _fold_indices(np.asarray(fold_ids), k_folds)
-
-    fold_means_a = np.array([_fsum_mean(psi_a[g]) for g in groups])
-    fold_means_b = np.array([_fsum_mean(psi_b[g]) for g in groups])
-    pooled_a = _fsum_mean(fold_means_a)
-    pooled_b = _fsum_mean(fold_means_b)
-    j_hat = pooled_a
-
-    fold_thetas: list[np.ndarray | None] = []
-    for k, (ma, mb) in enumerate(zip(fold_means_a, fold_means_b)):
-        if variant == "dml1":
-            fold_thetas.append(_solve_linear(ma, mb, f"fold {k}"))
-        else:
-            smin, _ = _min_max_singular(ma)
-            fold_thetas.append(np.linalg.solve(ma, -mb) if smin > SINGULAR_TOL else None)
-
-    if variant == "dml1":
-        theta = _fsum_mean(np.array(fold_thetas))
-    else:
-        theta = _solve_linear(pooled_a, pooled_b, "pooled")
-
-    sigma_sq, fold_sigmas = _sandwich(psi_a, psi_b, theta, j_hat, groups, d)
-    if variant == "dml1":
-        sigma_sq = _project_psd(_fsum_mean(np.array(fold_sigmas)))
-    per_fold = tuple(
-        FoldSummary(
-            fold=k,
-            count=int(groups[k].size),
-            theta=None if fold_thetas[k] is None else _scalar_or_array(fold_thetas[k], d),
-            sigma_sq=_scalar_or_array(fold_sigmas[k], d),
-        )
-        for k in range(k_folds)
-    )
-    return DmlFit(
-        theta_hat=_scalar_or_array(theta, d),
-        j_hat=_scalar_or_array(j_hat, d),
-        sigma_sq_hat=_scalar_or_array(sigma_sq, d),
-        n=n,
-        per_fold=per_fold,
-    )
-
-
-def _sandwich(psi_a, psi_b, theta, j_hat, groups, d):
-    """Sandwich variance from the pooled second moment of psi at theta."""
-    psi = psi_a @ theta + psi_b  # (n, d)
-    outer = psi[:, :, None] * psi[:, None, :]
-    fold_mids = [_fsum_mean(outer[g]) for g in groups]
-    mid = _fsum_mean(np.array(fold_mids))
-    smin, _ = _min_max_singular(np.atleast_2d(j_hat))
-    if smin <= SINGULAR_TOL:
-        raise IdentificationError(
-            f"variance: Jacobian singular (smallest singular value {smin:.3e})",
-            smallest_singular_value=smin,
-        )
-    j_inv = np.linalg.inv(np.atleast_2d(j_hat))
-    fold_sigmas = [_project_psd(j_inv @ m @ j_inv.T) for m in fold_mids]
-    sigma_sq = _project_psd(j_inv @ mid @ j_inv.T)
-    return sigma_sq, fold_sigmas
+    """Cross-fitted solve on raw score arrays, through their fold moments."""
+    return ScoreMoments.centred(psi_a, psi_b, fold_ids, k_folds, variant).solve(variant)
 
 
 def _project_psd(mat: np.ndarray) -> np.ndarray:
@@ -252,12 +370,10 @@ def variance_from_arrays(
 ):
     """Sandwich variance on raw arrays; dml1 averages fold-level sandwiches."""
     psi_a, psi_b, d = _as_matrix_stack(psi_a, psi_b)
-    groups = _fold_indices(np.asarray(fold_ids), k_folds)
     theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    j_mat = np.atleast_2d(np.asarray(j_hat, dtype=float))
-    sigma_sq, fold_sigmas = _sandwich(psi_a, psi_b, theta, j_mat, groups, d)
-    if variant == "dml1":
-        sigma_sq = _project_psd(_fsum_mean(np.array(fold_sigmas)))
+    moments = ScoreMoments(k_folds, d, theta_c=theta)
+    moments.add(psi_a, psi_b, fold_ids)
+    sigma_sq, _ = moments.sandwich(theta, np.atleast_2d(np.asarray(j_hat, dtype=float)), variant)
     return _scalar_or_array(sigma_sq, d)
 
 
@@ -269,8 +385,7 @@ def estimate_variance(
     variant: str = "dml2",
 ):
     """Sandwich variance J^{-1} (pooled mean psi psi^T at theta_hat) J^{-T}."""
-    if variant not in ("dml1", "dml2"):
-        raise ParameterError(f"variant must be 'dml1' or 'dml2', got {variant!r}")
+    _check_variant(variant)
     psi_a, psi_b = _normalize_scores(scores)
     fold_ids = plan.assignments(len(scores))
     return variance_from_arrays(psi_a, psi_b, theta_hat, j_hat, fold_ids, plan.k_folds, variant)

@@ -16,7 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .boundary import MixtureParams, scalar_radius, tune_rho
-from .crossfit import DmlFit, FoldPlan, solve_arrays
+# solve_arrays is the batch form of the solve ScoreMoments does; it stays
+# importable here, where the benchmark's tracer wraps the engine's names.
+from .crossfit import DmlFit, FoldPlan, ScoreMoments, solve_arrays  # noqa: F401
 from .errors import (
     EstimandError,
     IngestError,
@@ -235,10 +237,10 @@ class StreamConfig:
             raise ParameterError(
                 f"burn_in must be >= k_folds, got {self.burn_in} < {self.k_folds}"
             )
-        if self.rho is not None and not self.rho > 0:
-            raise ParameterError(f"rho must be positive when fixed, got {self.rho}")
-        if self.gamma < 1.0:
-            raise ParameterError(f"gamma must be >= 1, got {self.gamma}")
+        if self.rho is not None and not (self.rho > 0 and math.isfinite(self.rho)):
+            raise ParameterError(f"rho must be a positive real, got {self.rho}")
+        if not (self.gamma >= 1.0 and math.isfinite(self.gamma)):
+            raise ParameterError(f"gamma must be a real >= 1, got {self.gamma}")
         if not (0.0 < self.epsilon < 0.5):
             raise ParameterError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
         if not self.refit_factor > 1.0:
@@ -338,26 +340,16 @@ class _GrowArray:
         self._buf = np.empty(shape)
         self._n = 0
 
+    def __len__(self) -> int:
+        return self._n
+
     def append(self, row) -> None:
         if self._n == self._buf.shape[0]:
-            self._grow(self._n + 1)
+            new = np.empty((2 * self._n,) + self._buf.shape[1:])
+            new[: self._n] = self._buf
+            self._buf = new
         self._buf[self._n] = row
         self._n += 1
-
-    def extend(self, rows: np.ndarray) -> None:
-        needed = self._n + rows.shape[0]
-        if needed > self._buf.shape[0]:
-            self._grow(needed)
-        self._buf[self._n : needed] = rows
-        self._n = needed
-
-    def _grow(self, needed: int) -> None:
-        capacity = self._buf.shape[0]
-        while capacity < needed:
-            capacity *= 2
-        new = np.empty((capacity,) + self._buf.shape[1:])
-        new[: self._n] = self._buf[: self._n]
-        self._buf = new
 
     def view(self) -> np.ndarray:
         return self._buf[: self._n]
@@ -382,23 +374,21 @@ class Stream:
         self._a = _GrowArray()
         self._z = _GrowArray()
         self._X: _GrowArray | None = None
-        self._fold: list[int] = []
         self._fold_models: list[dict] | None = None
-        self._fit_version = 0
         self._next_refit: int | None = None
-        self._cache_version = -1
-        self._n_scored = 0
-        self._psi_a = _GrowArray()
-        self._psi_b = _GrowArray()
+        # Score moments of the rows scored since the last refit; None until
+        # the first peek after a refit rescores every row.
+        self._moments: ScoreMoments | None = None
 
     # -- ingestion ----------------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self._fold)
+        return len(self._y)
 
     def push(self, obs: Observation) -> "Stream":
-        """Append one observation; fold assignment only, no estimation."""
+        """Append one observation; no estimation. Its fold is its arrival
+        index modulo k_folds."""
         if self._estimand.needs_z and obs.z is None:
             raise IngestError(
                 f"the {self.config.estimand} estimand requires an instrument z on every row"
@@ -410,12 +400,10 @@ class Stream:
             raise IngestError(
                 f"covariate dimension changed from {self._x_dim} to {len(obs.x)}"
             )
-        index = self.n
         self._y.append(obs.y)
         self._a.append(float(obs.a))
         self._z.append(float(obs.z) if obs.z is not None else np.nan)
         self._X.append(obs.x)
-        self._fold.append(self.plan.fold_of(index))
         if self.stopped_at is not None:
             self.post_stop_pushes += 1
         return self
@@ -445,8 +433,14 @@ class Stream:
             return slice(None)
         return cols[subset[0]] == float(subset[1:])
 
-    def _fit_fold(self, fold: int, train_idx: np.ndarray) -> dict:
+    def _fit_fold(self, fold: int, train_n: int) -> dict:
+        """Fit fold ``fold``'s nuisances on the first ``train_n`` rows outside it.
+
+        The bundle records both numbers, which fix its training rows, so
+        scoring can check that it never scores one of them.
+        """
         cfg, est = self.config, self._estimand
+        train_idx = np.nonzero(self.plan.assignments(train_n) != fold)[0]
         cols = self._columns(train_idx)
         if est.classes is not None:
             values = cols[est.classes]
@@ -457,7 +451,7 @@ class Stream:
                 )
         weights = self._loss_weights()
         X = self._X.view()[train_idx]
-        models: dict = {"train_ids": frozenset(int(i) for i in train_idx)}
+        models: dict = {"fold": fold, "train_n": train_n}
         for nuis in est.nuisances:
             spec_name, _kinds, fit = _ROLES[nuis.role]
             rows = self._subset(nuis.subset, cols)
@@ -470,7 +464,7 @@ class Stream:
     def _record_holdout_rmse(self, n: int, bundles: list[dict]) -> None:
         X = self._X.view()[:n]
         cols = self._columns(slice(n))
-        fold_ids = np.asarray(self._fold[:n])
+        fold_ids = self.plan.assignments(n)
         # nu has no directly observable target, so it is not tracked.
         tracked = [
             (nuis, self._subset(nuis.subset, cols))
@@ -490,15 +484,11 @@ class Stream:
             self.holdout_rmse.setdefault(name, []).append((n, float(np.mean(vals))))
 
     def _refit(self, n: int) -> None:
-        fold_ids = np.asarray(self._fold[:n])
-        bundles = []
-        for k in range(self.config.k_folds):
-            train_idx = np.nonzero(fold_ids != k)[0]
-            bundles.append(self._fit_fold(k, train_idx))
+        bundles = [self._fit_fold(k, n) for k in range(self.config.k_folds)]
         # Swap in only after every fold fit succeeded, so a deferred peek
         # leaves the previous models usable.
         self._fold_models = bundles
-        self._fit_version += 1
+        self._moments = None  # every row is rescored by the new models
         self._record_holdout_rmse(n, bundles)
         factor = self.config.refit_factor
         threshold = float(self.config.burn_in)
@@ -534,37 +524,40 @@ class Stream:
         }
         return self._estimand.score(cols["y"], cols["a"], cols["z"], preds, self._loss_weights())
 
-    def _scores_upto(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._cache_version != self._fit_version:
-            self._psi_a = _GrowArray()
-            self._psi_b = _GrowArray()
-            self._n_scored = 0
+    def _score_range(self, start: int, n: int):
+        """Scores of rows start..n-1, each from its own fold's models, and
+        the rows' fold ids."""
+        k_folds = self.config.k_folds
+        rows = np.arange(start, n)
+        fold_ids = rows % k_folds
+        psi_a = np.empty(n - start)
+        psi_b = np.empty(n - start)
+        for k in range(k_folds):
+            local = slice((k - start) % k_folds, None, k_folds)
+            fold_rows = rows[local]
+            if not fold_rows.size:
+                continue
+            models = self._fold_models[k]
+            # Out-of-fold purity: the bundle was trained on the rows below
+            # its train_n outside its fold, and must never score one of them.
+            trained = (fold_rows < models["train_n"]) & (fold_ids[local] != models["fold"])
+            if trained.any():
+                raise AssertionError(f"fold {k} models would score rows they were trained on")
+            psi_a[local], psi_b[local] = self._score_rows(fold_rows, models)
+        return psi_a, psi_b, fold_ids
+
+    def _solve(self, n: int) -> DmlFit:
+        """Fold the rows scored since the last peek into the moments, then
+        solve; after a refit, rescore every row and rebuild the moments."""
+        cfg = self.config
+        if self._moments is None:
             self.clip_events = 0  # every row is rescored by the new models
-            self._cache_version = self._fit_version
-        if self._n_scored < n:
-            start = self._n_scored
-            fold_ids = np.asarray(self._fold[start:n])
-            psi_a = np.empty(n - start)
-            psi_b = np.empty(n - start)
-            for k in range(self.config.k_folds):
-                local = np.nonzero(fold_ids == k)[0]
-                if local.size == 0:
-                    continue
-                rows = local + start
-                models = self._fold_models[k]
-                # Out-of-fold purity: a fold's models must never score a row
-                # they were trained on.
-                if not models["train_ids"].isdisjoint(int(i) for i in rows):
-                    raise AssertionError(
-                        f"fold {k} models would score rows they were trained on"
-                    )
-                pa, pb = self._score_rows(rows, models)
-                psi_a[local] = pa
-                psi_b[local] = pb
-            self._psi_a.extend(psi_a)
-            self._psi_b.extend(psi_b)
-            self._n_scored = n
-        return self._psi_a.view()[:n], self._psi_b.view()[:n]
+            self._moments = ScoreMoments.centred(
+                *self._score_range(0, n), cfg.k_folds, cfg.dml_variant
+            )
+        elif self._moments.n < n:
+            self._moments.add(*self._score_range(self._moments.n, n))
+        return self._moments.solve(cfg.dml_variant)
 
     # -- peeking ------------------------------------------------------------
 
@@ -576,14 +569,10 @@ class Stream:
             raise NotReadyError(f"need at least burn_in={cfg.burn_in} observations, have {n}")
         if self.peek_log and self.peek_log[-1].n == n:
             return self.peek_log[-1]
-        fold_ids = np.asarray(self._fold[:n])
-        counts = np.bincount(fold_ids, minlength=cfg.k_folds)
-        if counts.min() == 0:
-            raise NotReadyError("every fold needs at least one observation")
+        # burn_in >= k_folds, so every fold already holds a row.
         if self._refit_due(n):
             self._refit(n)
-        psi_a, psi_b = self._scores_upto(n)
-        fit = solve_arrays(psi_a, psi_b, fold_ids, cfg.k_folds, variant=cfg.dml_variant)
+        fit = self._solve(n)
         sigma_sq = float(fit.sigma_sq_hat)
         if self.rho is None and not sigma_sq > 0:
             # rho cannot be tuned to a zero variance; a later peek may see some.
@@ -655,7 +644,7 @@ class Stream:
         roles = {nuis.key: nuis.role for nuis in est.nuisances}
         fields = list(est.evals)
         n = self.n
-        fold_ids = np.asarray(self._fold[:n])
+        fold_ids = self.plan.assignments(n)
         evals: list[NuisanceEval | None] = [None] * n
         for k in range(cfg.k_folds):
             rows = np.nonzero(fold_ids == k)[0]

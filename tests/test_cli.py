@@ -244,6 +244,15 @@ class TestDiagnose:
         assert code == 0
         assert "identification: FAIL" in out
 
+    def test_non_finite_gamma_is_a_usage_error(self, tmp_path, capsys):
+        data = write_ate_csv(tmp_path / "data.csv", n=200, seed=4)
+        code, _, err = run_cli(
+            ["diagnose", "--input", str(data), "--estimand", "pate_lower", "--gamma", "inf"],
+            capsys,
+        )
+        assert code == 2
+        assert "gamma must be a real >= 1, got inf" in err
+
 
 class TestReport:
     def test_report_on_simulate_output(self, tmp_path, capsys):

@@ -44,7 +44,7 @@ class TestPush:
         stream = Stream(StreamConfig(estimand="ate", k_folds=5, burn_in=10))
         for obs in null_effect_observations(10):
             stream.push(obs)
-        counts = np.bincount(stream._fold, minlength=5)
+        counts = np.bincount(stream.plan.assignments(stream.n), minlength=5)
         assert counts.tolist() == [2, 2, 2, 2, 2]
 
     def test_missing_instrument_on_late(self):
@@ -80,6 +80,13 @@ class TestPush:
             StreamConfig(estimand="ate", gamma=0.5)
         with pytest.raises(ParameterError):
             StreamConfig(estimand="ate", refit_factor=1.0)
+
+    def test_non_finite_gamma_and_rho_rejected(self):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="gamma must be a real >= 1"):
+                StreamConfig(estimand="pate_lower", gamma=value)
+            with pytest.raises(ParameterError, match="rho must be a positive real"):
+                StreamConfig(estimand="ate", rho=value)
 
     def test_learner_kinds_checked_per_role(self):
         cases = [
@@ -204,11 +211,12 @@ class TestPeek:
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=11))
         stream.extend(null_effect_observations(120, seed=11))
         stream.peek()
-        # poison one fold's bookkeeping with a row it will be asked to score
+        # poison one fold's provenance: fold 0's models now claim to have
+        # been trained on fold 0's rows, which they will be asked to score
         poisoned = dict(stream._fold_models[0])
-        poisoned["train_ids"] = poisoned["train_ids"] | {0}
+        poisoned["fold"] = 1
         stream._fold_models[0] = poisoned
-        stream._cache_version = -1  # force rescoring
+        stream._moments = None  # force rescoring of every row
         stream.extend(null_effect_observations(10, seed=99))
         with pytest.raises(AssertionError):
             stream.peek()
