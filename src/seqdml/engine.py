@@ -16,10 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .boundary import MixtureParams, scalar_radius, tune_rho
-# solve_arrays is the batch form of the solve ScoreMoments does; it stays
-# importable here, where the benchmark's tracer wraps the engine's names.
+# solve_arrays is unused here; the benchmark's tracer wraps it on this module.
 from .crossfit import DmlFit, FoldPlan, ScoreMoments, solve_arrays  # noqa: F401
 from .errors import (
+    DgpError,
     EstimandError,
     IngestError,
     NotReadyError,
@@ -37,7 +37,9 @@ from .nuisance import (
 )
 from .scores import (
     GammaParam,
+    NuisanceEval,
     Observation,
+    _check_propensity,
     aipw_pseudo_outcome,
     effective_gamma,
     late_terms,
@@ -108,10 +110,15 @@ def _late_score(y, a, z, p, w):
     return late_terms(y, a, z, p["g_t"], p["g_c"], p["m_t"], p["m_c"], p["e"])
 
 
-def _pate_score(y, a, z, p, w):
+def _pate_treated_score(y, a, z, p, w):
     pseudo_t = partial_id_pseudo_outcome(y, a, p["g_t"], p["nu_t"], p["e"], w["g_t"], "treated")
+    return np.full(y.size, -1.0), pseudo_t
+
+
+def _pate_score(y, a, z, p, w):
+    psi_a, pseudo_t = _pate_treated_score(y, a, z, p, w)
     pseudo_c = partial_id_pseudo_outcome(y, a, p["g_c"], p["nu_c"], p["e"], w["g_c"], "control")
-    return np.full(y.size, -1.0), pseudo_t - pseudo_c
+    return psi_a, pseudo_t - pseudo_c
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,7 @@ class _Estimand:
     nuisances: tuple[_Nuisance, ...]  # in fit order
     score: Callable  # vectorised, see the score functions above
     evals: dict[str, str]  # NuisanceEval field -> bundle key, in diagnose's order
+    evals_score: Callable  # the score the evals describe, which diagnose checks
     classes: str | None = None  # column whose two classes every training fold needs
     needs_z: bool = False
 
@@ -152,8 +160,9 @@ def _pate(treated_side: str) -> _Estimand:
             _Nuisance("e", "propensity", "all", "a"),
         ),
         score=_pate_score,
-        # The evaluations describe the treated arm's score.
+        # The evaluations describe the treated arm's bound.
         evals={"g1": "g_t", "e": "e", "nu": "nu_t"},
+        evals_score=_pate_treated_score,
         classes="a",
     )
 
@@ -167,6 +176,7 @@ _TABLE = {
         ),
         score=_ate_score,
         evals={"g1": "g1", "g0": "g0", "e": "e"},
+        evals_score=_ate_score,
         classes="a",
     ),
     "plr": _Estimand(
@@ -176,6 +186,7 @@ _TABLE = {
         ),
         score=_plr_score,
         evals={"m": "m", "e": "e"},
+        evals_score=_plr_score,
     ),
     "late": _Estimand(
         nuisances=(
@@ -187,6 +198,7 @@ _TABLE = {
         ),
         score=_late_score,
         evals={"g_t": "g_t", "g_c": "g_c", "m_t": "m_t", "m_c": "m_c", "e": "e"},
+        evals_score=_late_score,
         classes="z",
         needs_z=True,
     ),
@@ -628,39 +640,60 @@ class Stream:
         """Peek log as NDJSON, one fixed-schema record per peek."""
         return "".join(p.to_json() + "\n" for p in self.peek_log)
 
-    def nuisance_evals(self) -> "list":
-        """Out-of-fold nuisance evaluations for every buffered row.
-
-        For the partial-identification estimands the evaluation describes the
-        treated-arm score (g1 = treated-arm regression, nu = its nu model).
-        Requires nuisances to have been fit (peek at least once). Propensities
-        are clipped to [epsilon, 1 - epsilon] without counting clip events.
-        """
-        from .scores import NuisanceEval
-
+    def _eval_columns(self) -> dict[str, np.ndarray]:
+        """Out-of-fold prediction column of each nuisance in the estimand's
+        evals, by bundle key, for every buffered row. Propensities are
+        clipped to [epsilon, 1 - epsilon] without counting clip events."""
         if self._fold_models is None:
             raise NotReadyError("nuisances have not been fit yet; peek first")
         cfg, est = self.config, self._estimand
         roles = {nuis.key: nuis.role for nuis in est.nuisances}
-        fields = list(est.evals)
         n = self.n
-        fold_ids = self.plan.assignments(n)
-        evals: list[NuisanceEval | None] = [None] * n
+        columns = {key: np.empty(n) for key in est.evals.values()}
         for k in range(cfg.k_folds):
-            rows = np.nonzero(fold_ids == k)[0]
-            if rows.size == 0:
-                continue
-            models = self._fold_models[k]
+            rows = slice(k, n, cfg.k_folds)  # fold k: row indices k mod k_folds
             X = self._X.view()[rows]
-            columns = []
-            for key in est.evals.values():
-                values = models[key].predict(X)
+            for key, values in columns.items():
+                pred = self._fold_models[k][key].predict(X)
                 if roles[key] == "propensity":
-                    values = np.clip(values, cfg.epsilon, 1.0 - cfg.epsilon)
-                columns.append(values.tolist())
-            for i, values in zip(rows.tolist(), zip(*columns)):
-                evals[i] = NuisanceEval(**dict(zip(fields, values)))
-        return evals
+                    pred = np.clip(pred, cfg.epsilon, 1.0 - cfg.epsilon)
+                values[rows] = pred
+        return columns
+
+    def nuisance_evals(self) -> list[NuisanceEval]:
+        """Out-of-fold nuisance evaluations for every buffered row, one per
+        row of the evals' columns (for the partial-identification estimands
+        they describe the treated-arm bound). Requires a peek first."""
+        fields, columns = self._estimand.evals, self._eval_columns()
+        rows = zip(*(columns[key].tolist() for key in fields.values()))
+        return [NuisanceEval(**dict(zip(fields, values))) for values in rows]
+
+    def orthogonality_derivatives(self) -> dict[str, float]:
+        """Gateaux derivative of the mean score at the last estimate in the
+        direction of each evals field: a central difference of ``math.fsum``
+        means at step 1e-5, the arithmetic of ``gateaux_orthogonality_check``
+        on ``nuisance_evals()`` with equal weights."""
+        if self.last_fit is None:
+            raise NotReadyError("no estimate yet; peek first")
+        est, n, step = self._estimand, self.n, 1e-5
+        columns, data = self._eval_columns(), self._columns(slice(n))
+        weights, theta = self._loss_weights(), float(self.last_fit.theta_hat)
+        clipped = {nuis.key for nuis in est.nuisances if nuis.role == "propensity"}
+
+        def mean_score(key: str, r: float) -> float:
+            preds = {**columns, key: columns[key] + r}
+            if key in clipped:  # only a shift can move a clipped propensity out of (0, 1)
+                _check_propensity(preds[key])
+            psi_a, psi_b = est.evals_score(data["y"], data["a"], data["z"], preds, weights)
+            value = math.fsum((psi_a * theta + psi_b).tolist()) / n
+            if not math.isfinite(value):
+                raise DgpError("E[psi] is not finite on this support")
+            return value
+
+        return {
+            field: (mean_score(key, step) - mean_score(key, -step)) / (2.0 * step)
+            for field, key in est.evals.items()
+        }
 
 
 def pate_band(lower_stream: Stream, upper_stream: Stream) -> BandPoint:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from seqdml import PartialIdDgpParams, gen_partial_id
 from seqdml.cli import main
 
 
@@ -124,6 +125,16 @@ class TestSimulate:
         assert (target / "results.csv").is_file()
 
 
+def write_partial_id_csv(path, n=400, seed=9):
+    rows = gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "a"] + [f"x{j + 1}" for j in range(len(rows[0].x))])
+        for obs in rows:
+            writer.writerow([repr(obs.y), obs.a] + [repr(v) for v in obs.x])
+    return path
+
+
 class TestMonitor:
     def test_ate_stream_emits_ndjson(self, tmp_path, capsys):
         data = write_ate_csv(tmp_path / "data.csv")
@@ -205,6 +216,20 @@ class TestMonitor:
         assert summary["decision"] == "stop"
         assert summary["stopped_at"] == 100
 
+    @pytest.mark.parametrize("argv", [
+        ["monitor", "--estimand", "ate", "--peek-every", "0"],
+        ["monitor", "--estimand", "ate", "--peek-every", "-5"],
+        ["monitor", "--estimand", "ate", "--stop-rule", "width_below", "--stop-width", "-1"],
+        ["simulate", "--dgp", "late", "--peek-every", "0", "--reps", "1"],
+    ])
+    def test_bad_cadence_or_width_is_a_usage_error(self, tmp_path, capsys, argv):
+        data = write_ate_csv(tmp_path / "data.csv")
+        extra = ["--input", str(data)] if argv[0] == "monitor" else ["--out-dir", str(tmp_path)]
+        code, out, err = run_cli(argv + extra, capsys)
+        assert code == 2
+        assert err.startswith("seqdml: error:")
+        assert out == ""
+
     def test_out_dir_artifact_matches_stdout(self, tmp_path, capsys):
         data = write_ate_csv(tmp_path / "data.csv", seed=6)
         out_dir = tmp_path / "mon"
@@ -243,6 +268,16 @@ class TestDiagnose:
         )
         assert code == 0
         assert "identification: FAIL" in out
+
+    @pytest.mark.parametrize("estimand", ["pate_lower", "pate_upper"])
+    def test_bounds_at_the_default_gamma(self, tmp_path, capsys, estimand):
+        # At gamma = 1 the fitted nu is exactly 1, the edge of its range.
+        data = write_partial_id_csv(tmp_path / "pid.csv")
+        code, out, err = run_cli(
+            ["diagnose", "--input", str(data), "--estimand", estimand], capsys
+        )
+        assert code == 0, err
+        assert "orthogonality derivative wrt nu: " in out
 
     def test_non_finite_gamma_is_a_usage_error(self, tmp_path, capsys):
         data = write_ate_csv(tmp_path / "data.csv", n=200, seed=4)

@@ -23,8 +23,18 @@ from seqdml.errors import (
     EstimandError,
     IngestError,
     NotReadyError,
+    NuisanceError,
     ParameterError,
     SyncError,
+)
+from seqdml.scores import (
+    GammaParam,
+    NuisanceEval,
+    aipw_score,
+    gateaux_orthogonality_check,
+    late_score,
+    partial_id_score,
+    plr_score,
 )
 
 NDJSON_ORDER = ["n", "estimate", "sigma", "lower", "upper", "lower_int", "upper_int", "stopped"]
@@ -392,3 +402,72 @@ class TestNuisanceEvals:
         for ev in evals:
             assert 0.01 <= ev.e <= 0.99
             assert ev.g1 is not None and ev.g0 is not None
+
+
+def oracle_score(estimand, gamma):
+    """The per-row score whose Gateaux derivative the stream's evals describe:
+    for the partial-identification bounds, the treated arm's bound."""
+    if estimand in ("pate_lower", "pate_upper"):
+        side = estimand[len("pate_"):]
+        return lambda obs, nuis: partial_id_score(obs, nuis, GammaParam(gamma), "treated", side)
+    return {"ate": aipw_score, "plr": plr_score, "late": late_score}[estimand]
+
+
+def fitted_stream(estimand, gamma, n=300, seed=23, epsilon=0.01):
+    if estimand == "late":
+        observations = gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
+    else:
+        observations = gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
+    config = StreamConfig(
+        estimand=estimand, burn_in=100, gamma=gamma, epsilon=epsilon, seed=seed,
+        gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
+    )
+    stream = Stream(config).extend(observations)
+    stream.peek()
+    return stream, observations
+
+
+class TestOrthogonalityDerivatives:
+    @pytest.mark.parametrize("estimand, gamma", [
+        ("ate", 1.5), ("plr", 1.5), ("late", 1.5), ("pate_lower", 1.5), ("pate_upper", 1.5),
+        ("ate", 1.0), ("plr", 1.0), ("late", 1.0),
+    ])
+    def test_columns_match_per_row_oracle(self, estimand, gamma):
+        stream, observations = fitted_stream(estimand, gamma)
+        got = stream.orthogonality_derivatives()
+        evals = dict(zip(map(id, observations), stream.nuisance_evals()))
+        support = [(1.0, obs) for obs in observations]
+        theta = float(stream.last_fit.theta_hat)
+        want = {
+            field: gateaux_orthogonality_check(
+                oracle_score(estimand, gamma), support, lambda obs: evals[id(obs)],
+                lambda obs, d=NuisanceEval(**{field: 1.0}): d, theta,
+            )
+            for field in got
+        }
+        assert got == want
+
+    def test_requires_an_estimate(self):
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100))
+        stream.extend(null_effect_observations(50))
+        with pytest.raises(NotReadyError):
+            stream.orthogonality_derivatives()
+
+    def test_shift_out_of_the_unit_interval_raises(self):
+        # Treatment separated by x1: propensities clip at epsilon = 1e-6, and a
+        # 1e-5 shift takes them out of (0, 1), in both paths alike.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=300)
+        observations = [
+            Observation(y=float(v + 0.3 * rng.normal()), a=int(v > 0), x=(float(v),)) for v in x
+        ]
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100, epsilon=1e-6))
+        stream.extend(observations).peek()
+        with pytest.raises(NuisanceError, match="strictly inside"):
+            stream.orthogonality_derivatives()
+        evals = dict(zip(map(id, observations), stream.nuisance_evals()))
+        with pytest.raises(NuisanceError, match="strictly inside"):
+            gateaux_orthogonality_check(
+                aipw_score, [(1.0, obs) for obs in observations], lambda obs: evals[id(obs)],
+                lambda obs: NuisanceEval(e=1.0), float(stream.last_fit.theta_hat),
+            )
