@@ -19,6 +19,7 @@ __all__ = [
     "scalar_radius",
     "region_threshold",
     "tune_rho",
+    "intersect_step",
     "intersect",
 ]
 
@@ -126,6 +127,16 @@ def tune_rho(alpha: float, m: int, sigma_sq_m: float) -> float:
     return math.sqrt(numerator / denominator)
 
 
+def intersect_step(running: Interval | None, new: Interval) -> Interval:
+    """One step of a running intersection: ``new`` itself when nothing has
+    been seen yet, else ``[max(running.lower, new.lower), min(running.upper,
+    new.upper)]`` with the running bound first, so a NaN in ``new`` keeps
+    the running bound."""
+    if running is None:
+        return new
+    return Interval(max(running.lower, new.lower), min(running.upper, new.upper))
+
+
 def intersect(history: Sequence[Interval] | Iterable[Interval]) -> list[Interval]:
     """Running intersection of a sequence of intervals.
 
@@ -134,14 +145,9 @@ def intersect(history: Sequence[Interval] | Iterable[Interval]) -> list[Interval
     inputs yield empty (lower > upper) intervals which are kept and flagged
     rather than dropped.
     """
-    history = list(history)
-    if not history:
-        raise ParameterError("intersect requires a nonempty history")
     out: list[Interval] = []
-    lo = -math.inf
-    hi = math.inf
     for interval in history:
-        lo = max(lo, interval.lower)
-        hi = min(hi, interval.upper)
-        out.append(Interval(lo, hi))
+        out.append(intersect_step(out[-1] if out else None, interval))
+    if not out:
+        raise ParameterError("intersect requires a nonempty history")
     return out

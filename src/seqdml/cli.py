@@ -15,10 +15,11 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .crossfit import identification_diagnostics
-from .engine import _TABLE, Stream, StreamConfig, StopRule, width_below
+from .engine import _TABLE, Stream, StreamConfig, StopRule
 from .errors import (
     EstimandError,
     IngestError,
@@ -211,7 +212,8 @@ def _needs_z(estimand: str) -> bool:
     return estimand in _TABLE and _TABLE[estimand].needs_z
 
 
-def _read_observations(path: str, estimand: str) -> list[Observation]:
+def _read_observations(path: str, estimand: str) -> Iterator[Observation]:
+    """Yield one validated Observation per CSV row, in file order."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -226,7 +228,6 @@ def _read_observations(path: str, estimand: str) -> list[Observation]:
         if _needs_z(estimand) and not has_z:
             raise EstimandError(f"the {estimand} estimand requires a 'z' column")
         n_cols = 2 + (1 if has_z else 0) + d
-        observations = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != n_cols:
                 raise _DataFailure(
@@ -240,10 +241,10 @@ def _read_observations(path: str, estimand: str) -> list[Observation]:
             a = _parse_binary(row[1], "a", lineno)
             z = _parse_binary(row[2], "z", lineno) if has_z else None
             try:
-                observations.append(Observation(y=y, a=a, x=x, z=z))
+                obs = Observation(y=y, a=a, x=x, z=z)
             except ParameterError as exc:
                 raise _DataFailure(f"line {lineno}: {exc}")
-    return observations
+            yield obs
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +321,19 @@ def _cmd_simulate(opts: dict) -> int:
 
 
 def _stop_rule(opts: dict) -> StopRule | None:
-    kind = opts.get("stop_rule")
+    kind, width = opts.get("stop_rule"), opts.get("stop_width")
+    if width is not None and kind != "width_below":
+        raise ParameterError("--stop-width requires --stop-rule width_below")
     if kind is None:
         return None
-    if kind == "width_below":
-        if opts.get("stop_width") is None:
-            raise ParameterError("--stop-rule width_below requires --stop-width")
-        return width_below(opts["stop_width"])
-    if kind in ("excludes_zero", "sign_determined"):
-        return StopRule(kind)
-    raise ParameterError(f"unknown stop rule {kind!r}")
+    if kind == "width_below" and width is None:
+        raise ParameterError("--stop-rule width_below requires --stop-width")
+    return StopRule(kind, width)
 
 
 def _cmd_monitor(opts: dict, stdout) -> int:
     rule = _stop_rule(opts)
-    observations = _read_observations(opts["input"], opts["estimand"])
-    config = StreamConfig(
+    stream = Stream(StreamConfig(
         estimand=opts["estimand"],
         alpha=opts["alpha"],
         k_folds=opts["k_folds"],
@@ -343,56 +341,49 @@ def _cmd_monitor(opts: dict, stdout) -> int:
         rho=opts["rho"],
         gamma=opts["gamma"],
         seed=opts["seed"],
-    )
-    stream = Stream(config)
+    ))
     burn_in, cadence = opts["burn_in"], opts["peek_every"]
-    lines: list[str] = []
 
-    def emit(text: str) -> None:
-        lines.append(text)
-        stdout.write(text + "\n")
+    def due(n: int) -> bool:
+        return n >= burn_in and (n - burn_in) % cadence == 0
 
-    first_stop = None
-    for i, obs in enumerate(observations):
-        stream.push(obs)
-        n = i + 1
-        due = n >= burn_in and (n - burn_in) % cadence == 0
-        if n == len(observations) and n >= burn_in:
-            due = True
-        if not due:
-            continue
+    def peek() -> None:
         try:
             point = stream.peek()
         except NotReadyError:
-            continue
-        if point.n == n:
-            emit(point.to_json())
+            return
+        stdout.write(point.to_json() + "\n")
         if rule is not None:
-            decision = stream.check_stop(rule)
-            if decision.stop and first_stop is None:
-                first_stop = decision.n
+            stream.check_stop(rule)
+
+    for obs in _read_observations(opts["input"], opts["estimand"]):
+        stream.push(obs)
+        if due(stream.n):
+            peek()
+    if stream.n >= burn_in and not due(stream.n):
+        peek()  # the last row is always peeked
     if not stream.peek_log:
         decision_word = "not_ready"
-    elif first_stop is not None:
+    elif stream.stopped_at is not None:
         decision_word = "stop"
     else:
         decision_word = "continue"
-    summary = {
-        "n": len(observations),
+    summary = json.dumps({
+        "n": stream.n,
         "peeks": len(stream.peek_log),
         "decision": decision_word,
-        "stopped_at": first_stop,
+        "stopped_at": stream.stopped_at,
         "rule": None if rule is None else rule.kind,
-    }
-    emit(json.dumps(summary))
+    }) + "\n"
+    stdout.write(summary)
     if opts["out_dir"] is not None:
         out_dir = _resolve_out_dir(opts["out_dir"])
-        (out_dir / "peeks.ndjson").write_text("".join(l + "\n" for l in lines))
+        (out_dir / "peeks.ndjson").write_text(stream.export_ndjson() + summary)
     return 0
 
 
 def _cmd_diagnose(opts: dict, stdout) -> int:
-    observations = _read_observations(opts["input"], opts["estimand"])
+    observations = list(_read_observations(opts["input"], opts["estimand"]))
     estimand = opts["estimand"]
     n = len(observations)
     out = lambda text: stdout.write(text + "\n")

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import MixtureParams, scalar_radius, tune_rho
+from .boundary import Interval, MixtureParams, intersect_step, scalar_radius, tune_rho
 # solve_arrays is unused here; the benchmark's tracer wraps it on this module.
 from .crossfit import DmlFit, FoldPlan, ScoreMoments, solve_arrays  # noqa: F401
 from .errors import (
@@ -306,8 +306,18 @@ class CsPoint:
 
 @dataclass(frozen=True)
 class StopRule:
+    """A stopping rule; only ``width_below`` takes a (positive) width."""
+
     kind: str
     width: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("excludes_zero", "width_below", "sign_determined"):
+            raise ParameterError(f"unknown stop rule {self.kind!r}")
+        if self.kind != "width_below" and self.width is not None:
+            raise ParameterError(f"{self.kind} takes no width, got {self.width}")
+        if self.kind == "width_below" and not (self.width is not None and self.width > 0):
+            raise ParameterError(f"width threshold must be positive, got {self.width}")
 
 
 def excludes_zero() -> StopRule:
@@ -315,8 +325,6 @@ def excludes_zero() -> StopRule:
 
 
 def width_below(width: float) -> StopRule:
-    if not width > 0:
-        raise ParameterError(f"width threshold must be positive, got {width}")
     return StopRule("width_below", width)
 
 
@@ -595,20 +603,18 @@ class Stream:
         sigma_hat = math.sqrt(sigma_sq)
         radius = scalar_radius(n, MixtureParams(self.rho, cfg.alpha, 1), sigma_hat)
         theta = float(fit.theta_hat)
-        lower, upper = theta - radius, theta + radius
-        if self.peek_log:
-            lower_int = max(self.peek_log[-1].lower_int, lower)
-            upper_int = min(self.peek_log[-1].upper_int, upper)
-        else:
-            lower_int, upper_int = lower, upper
+        raw = Interval(theta - radius, theta + radius)
+        last = self.peek_log[-1] if self.peek_log else None
+        seen = None if last is None else Interval(last.lower_int, last.upper_int)
+        running = intersect_step(seen, raw)
         point = CsPoint(
             n=n,
             theta_hat=theta,
             sigma_hat=sigma_hat,
-            lower=lower,
-            upper=upper,
-            lower_int=lower_int,
-            upper_int=upper_int,
+            lower=raw.lower,
+            upper=raw.upper,
+            lower_int=running.lower,
+            upper_int=running.upper,
             stopped=self.stopped_at is not None,
         )
         self.peek_log.append(point)
@@ -618,10 +624,6 @@ class Stream:
         """Evaluate a stopping rule on the latest intersected interval."""
         if isinstance(rule, str):
             rule = StopRule(rule)
-        if rule.kind not in ("excludes_zero", "width_below", "sign_determined"):
-            raise ParameterError(f"unknown stop rule {rule.kind!r}")
-        if rule.kind == "width_below" and rule.width is None:
-            raise ParameterError("width_below needs a width threshold")
         if not self.peek_log:
             raise NotReadyError("check_stop requires at least one recorded peek")
         point = self.peek_log[-1]

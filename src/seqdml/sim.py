@@ -13,7 +13,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.stats import norm
@@ -244,18 +243,6 @@ def _write_rows(path: Path, rows: list[tuple]) -> None:
             writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
 
 
-def _default_stream_config(estimand: str, alpha: float, burn_in: int, seed: int,
-                           gamma: float = 1.0, k_folds: int = 5) -> StreamConfig:
-    return StreamConfig(
-        estimand=estimand,
-        alpha=alpha,
-        k_folds=k_folds,
-        burn_in=burn_in,
-        gamma=gamma,
-        seed=seed,
-    )
-
-
 def run_coverage(
     dgp: str,
     estimand: str,
@@ -266,7 +253,6 @@ def run_coverage(
     seed: int = 0,
     burn_in: int | None = None,
     dgp_params=None,
-    stream_config: StreamConfig | None = None,
     out_dir: str | Path | None = None,
     keep_logs: bool = True,
 ) -> CoverageResult:
@@ -301,8 +287,8 @@ def run_coverage(
     n_grid = len(grid)
     miss_cs = np.zeros((reps, n_grid))
     miss_batch = np.zeros((reps, n_grid))
-    width_cs = np.zeros((reps, n_grid))
-    width_batch = np.zeros((reps, n_grid))
+    width_cs = np.full((reps, n_grid), math.nan)
+    width_batch = np.full((reps, n_grid), math.nan)
     peek_logs: list[list[CsPoint]] = []
     out_path = None
     if out_dir is not None:
@@ -314,41 +300,25 @@ def run_coverage(
             observations, _ = gen_late(n_max, params, seed=[seed, 1 + rep])
         else:
             observations, _ = gen_partial_id(n_max, params, seed=[seed, 1 + rep])
-        config = stream_config or _default_stream_config(estimand, alpha, burn_in, seed)
-        if config.burn_in != burn_in or config.alpha != alpha:
-            config = StreamConfig(
-                **{**config.__dict__, "burn_in": burn_in, "alpha": alpha}
+        stream = Stream(StreamConfig(estimand=estimand, alpha=alpha, burn_in=burn_in, seed=seed))
+        for j, n in enumerate(grid):
+            stream.extend(observations[stream.n:n])
+            try:
+                stream.peek()
+            except NotReadyError:
+                pass  # a deferred peek repeats the last recorded one
+            if not stream.peek_log:
+                continue  # no miss yet and no width
+            point = stream.peek_log[-1]
+            half = z_crit * point.sigma_hat / math.sqrt(point.n)
+            miss_cs[rep, j] = float(not (point.lower_int <= truth <= point.upper_int))
+            miss_batch[rep, j] = float(
+                not (point.theta_hat - half <= truth <= point.theta_hat + half)
             )
-        stream = Stream(config)
-        grid_set = set(grid)
-        cum_batch = 0.0
-        prev_cs, prev_wcs, prev_wb = 0.0, math.nan, math.nan
-        j = 0
-        for i, obs in enumerate(observations):
-            stream.push(obs)
-            if (i + 1) in grid_set:
-                try:
-                    point = stream.peek()
-                except NotReadyError:
-                    miss_cs[rep, j] = prev_cs
-                    miss_batch[rep, j] = cum_batch
-                    width_cs[rep, j] = prev_wcs
-                    width_batch[rep, j] = prev_wb
-                    j += 1
-                    continue
-                n = point.n
-                cs_missed = not (point.lower_int <= truth <= point.upper_int)
-                half = z_crit * point.sigma_hat / math.sqrt(n)
-                batch_missed = not (point.theta_hat - half <= truth <= point.theta_hat + half)
-                cum_batch = max(cum_batch, float(batch_missed))
-                prev_cs = float(cs_missed)
-                prev_wcs = point.upper - point.lower
-                prev_wb = 2.0 * half
-                miss_cs[rep, j] = prev_cs
-                miss_batch[rep, j] = cum_batch
-                width_cs[rep, j] = prev_wcs
-                width_batch[rep, j] = prev_wb
-                j += 1
+            width_cs[rep, j] = point.upper - point.lower
+            width_batch[rep, j] = 2.0 * half
+        # The batch interval is not intersected, so its miss is made cumulative here.
+        np.maximum.accumulate(miss_batch[rep], out=miss_batch[rep])
         if keep_logs:
             peek_logs.append(list(stream.peek_log))
         if out_path is not None:
@@ -425,16 +395,16 @@ def run_pate_band(
 
     lower_stream = Stream(config("pate_lower"))
     upper_stream = Stream(config("pate_upper"))
-    grid = set(range(peek_every, n_max + 1, peek_every))
     points: list[BandPoint] = []
-    for i, obs in enumerate(observations):
-        lower_stream.push(obs)
-        upper_stream.push(obs)
-        if (i + 1) in grid and (i + 1) >= burn_in:
-            try:
-                lower_stream.peek()
-                upper_stream.peek()
-            except NotReadyError:
-                continue
-            points.append(pate_band(lower_stream, upper_stream))
+    for n in range(peek_every, n_max + 1, peek_every):
+        if n < burn_in:
+            continue
+        lower_stream.extend(observations[lower_stream.n:n])
+        upper_stream.extend(observations[upper_stream.n:n])
+        try:
+            lower_stream.peek()
+            upper_stream.peek()
+        except NotReadyError:
+            continue
+        points.append(pate_band(lower_stream, upper_stream))
     return BandResult(truth=params.tau, points=points)

@@ -7,6 +7,8 @@ import pytest
 from mpmath import mp, mpf
 
 from seqdml import Interval, MixtureParams, intersect, region_threshold, scalar_radius, tune_rho
+from seqdml import Observation, Stream, StreamConfig
+from seqdml.boundary import intersect_step
 from seqdml.errors import ParameterError
 
 mp.dps = 50
@@ -216,3 +218,27 @@ class TestIntersect:
     def test_empty_history_rejected(self):
         with pytest.raises(ParameterError):
             intersect([])
+
+    def test_running_bound_is_the_first_argument(self):
+        # max/min return their first argument on ties and against NaN, so the
+        # running bound keeps its sign of zero and survives a NaN new bound.
+        history = [Interval(-0.0, 0.0), Interval(0.0, -0.0), Interval(math.nan, math.nan)]
+        out = intersect(history)
+        signs = [(math.copysign(1.0, i.lower), math.copysign(1.0, i.upper)) for i in out]
+        assert signs == [(-1.0, 1.0)] * 3
+        assert intersect_step(None, history[2]) is history[2]
+        assert math.isnan(intersect([Interval(math.nan, 1.0)])[0].lower)
+
+    def test_matches_the_streams_intersected_bounds(self):
+        stream = Stream(StreamConfig(estimand="ate", burn_in=20, k_folds=2))
+        rng = np.random.default_rng(13)
+        for n in range(20, 200, 10):
+            while stream.n < n:
+                x = float(rng.normal())
+                a = int(rng.uniform() < 0.5)
+                stream.push(Observation(y=a + x + float(rng.normal()), a=a, x=(x,)))
+            stream.peek()
+        out = intersect(Interval(p.lower, p.upper) for p in stream.peek_log)
+        assert [(i.lower, i.upper) for i in out] == [
+            (p.lower_int, p.upper_int) for p in stream.peek_log
+        ]

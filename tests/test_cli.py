@@ -221,13 +221,49 @@ class TestMonitor:
         ["monitor", "--estimand", "ate", "--peek-every", "-5"],
         ["monitor", "--estimand", "ate", "--stop-rule", "width_below", "--stop-width", "-1"],
         ["simulate", "--dgp", "late", "--peek-every", "0", "--reps", "1"],
+        ["monitor", "--estimand", "ate", "--stop-width", "0.5"],
+        ["monitor", "--estimand", "ate", "--stop-rule", "excludes_zero", "--stop-width", "0.5"],
+        ["monitor", "--estimand", "ate", "--config", "{stop_width_cfg}"],
     ])
     def test_bad_cadence_or_width_is_a_usage_error(self, tmp_path, capsys, argv):
         data = write_ate_csv(tmp_path / "data.csv")
+        config = tmp_path / "stop.cfg"
+        config.write_text("stop_width = 0.5\n")
+        argv = [str(config) if arg == "{stop_width_cfg}" else arg for arg in argv]
         extra = ["--input", str(data)] if argv[0] == "monitor" else ["--out-dir", str(tmp_path)]
         code, out, err = run_cli(argv + extra, capsys)
         assert code == 2
         assert err.startswith("seqdml: error:")
+        if "width_below" not in argv and ("--stop-width" in argv or "--config" in argv):
+            assert "--stop-width" in err and "--stop-rule" in err
+        assert out == ""
+
+    def test_records_before_a_malformed_row_are_written(self, tmp_path, capsys):
+        data = write_ate_csv(tmp_path / "data.csv", n=400, seed=8)
+        lines = data.read_text().splitlines(keepends=True)
+        lines[301] = "1.0,oops,0.5\n"  # file line 302, data row 301
+        data.write_text("".join(lines))
+        out_dir = tmp_path / "mon"
+        code, out, err = run_cli(
+            ["monitor", "--input", str(data), "--estimand", "ate",
+             "--burn-in", "100", "--peek-every", "100", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 1
+        assert "line 302" in err
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["n"] for r in records] == [100, 200, 300]
+        assert all("estimate" in r for r in records)  # no summary line
+        assert not (out_dir / "peeks.ndjson").exists()
+
+    def test_option_errors_come_before_data_errors(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("y,a,x1\n1.0,1,0.5\n2.0,oops,0.1\n")
+        code, out, err = run_cli(
+            ["monitor", "--input", str(data), "--estimand", "ate", "--k-folds", "1"], capsys
+        )
+        assert code == 2
+        assert "k_folds" in err
         assert out == ""
 
     def test_out_dir_artifact_matches_stdout(self, tmp_path, capsys):

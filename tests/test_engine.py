@@ -322,6 +322,19 @@ class TestCheckStop:
         with pytest.raises(ParameterError):
             stream.check_stop(StopRule("sometimes"))
 
+    @pytest.mark.parametrize("kind, width", [
+        ("width_below", -1.0),
+        ("width_below", 0.0),
+        ("width_below", float("nan")),
+        ("width_below", None),
+        ("excludes_zero", 0.5),
+        ("sign_determined", 0.5),
+    ])
+    def test_directly_built_rule_is_validated(self, kind, width):
+        # A width rule that could never fire must not reach check_stop.
+        with pytest.raises(ParameterError):
+            StopRule(kind, width)
+
 
 class TestNdjson:
     def test_field_names_and_order(self):

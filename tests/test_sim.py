@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from seqdml import (
     LateDgpParams,
     PartialIdDgpParams,
+    Stream,
+    StreamConfig,
     gen_late,
     gen_partial_id,
     run_coverage,
     run_pate_band,
 )
-from seqdml.errors import ParameterError
+from seqdml.errors import NotReadyError, ParameterError
 
 
 class TestPartialIdDgp:
@@ -143,6 +146,79 @@ class TestRunCoverage:
     def test_bad_dgp_rejected(self):
         with pytest.raises(ParameterError):
             run_coverage(dgp="nope", estimand="ate", reps=1, n_max=500)
+
+
+def per_row_coverage(dgp, estimand, reps, n_max, peek_every, seed, burn_in,
+                     alpha=0.05, dgp_params=None):
+    """Oracle: the per-row loop of the earlier run_coverage, which pushed
+    every row and carried the last peek's miss and widths across deferred
+    peeks by hand. Returns (miss, width) keyed like CoverageResult."""
+    grid = [g for g in range(peek_every, n_max + 1, peek_every) if g >= burn_in]
+    if dgp == "late":
+        params = dgp_params or LateDgpParams.from_seed(seed)
+        truth = params.theta
+    else:
+        params = dgp_params or PartialIdDgpParams.from_seed(seed)
+        truth = params.tau
+    z_crit = float(norm.ppf(1.0 - alpha / 2.0))
+    shape = (reps, len(grid))
+    miss_cs, miss_batch = np.zeros(shape), np.zeros(shape)
+    width_cs, width_batch = np.zeros(shape), np.zeros(shape)
+    for rep in range(reps):
+        gen = gen_late if dgp == "late" else gen_partial_id
+        observations, _ = gen(n_max, params, seed=[seed, 1 + rep])
+        stream = Stream(StreamConfig(estimand=estimand, alpha=alpha, k_folds=5,
+                                     burn_in=burn_in, gamma=1.0, seed=seed))
+        grid_set = set(grid)
+        cum_batch = 0.0
+        prev_cs, prev_wcs, prev_wb = 0.0, math.nan, math.nan
+        j = 0
+        for i, obs in enumerate(observations):
+            stream.push(obs)
+            if (i + 1) in grid_set:
+                try:
+                    point = stream.peek()
+                except NotReadyError:
+                    miss_cs[rep, j] = prev_cs
+                    miss_batch[rep, j] = cum_batch
+                    width_cs[rep, j] = prev_wcs
+                    width_batch[rep, j] = prev_wb
+                    j += 1
+                    continue
+                n = point.n
+                cs_missed = not (point.lower_int <= truth <= point.upper_int)
+                half = z_crit * point.sigma_hat / math.sqrt(n)
+                batch_missed = not (point.theta_hat - half <= truth <= point.theta_hat + half)
+                cum_batch = max(cum_batch, float(batch_missed))
+                prev_cs = float(cs_missed)
+                prev_wcs = point.upper - point.lower
+                prev_wb = 2.0 * half
+                miss_cs[rep, j] = prev_cs
+                miss_batch[rep, j] = cum_batch
+                width_cs[rep, j] = prev_wcs
+                width_batch[rep, j] = prev_wb
+                j += 1
+    return ({"asympcs": miss_cs, "batch": miss_batch},
+            {"asympcs": width_cs, "batch": width_batch})
+
+
+class TestGridWalkMatchesPerRowLoop:
+    @pytest.mark.parametrize("dgp, estimand, kwargs", [
+        ("late", "late", dict(reps=2, n_max=1100, peek_every=250, seed=11, burn_in=500)),
+        ("partial_id", "ate", dict(reps=2, n_max=1200, peek_every=300, seed=14, burn_in=300,
+                                   dgp_params=PartialIdDgpParams.from_seed(14, gamma_data=1.0))),
+        # Every early score is zero on some reps, so rho cannot be tuned and
+        # peeks are deferred; those cells carry no width.
+        ("late", "late", dict(reps=4, n_max=300, peek_every=10, seed=3, burn_in=10)),
+    ])
+    def test_miss_and_width_equal_the_oracle(self, dgp, estimand, kwargs):
+        result = run_coverage(dgp=dgp, estimand=estimand, **kwargs)
+        miss, width = per_row_coverage(dgp, estimand, **kwargs)
+        for method in ("asympcs", "batch"):
+            assert np.array_equal(result.miss[method], miss[method], equal_nan=True)
+            assert np.array_equal(result.width[method], width[method], equal_nan=True)
+        if kwargs["n_max"] == 300:
+            assert np.isnan(result.width["asympcs"]).any()
 
 
 class TestRunPateBand:
