@@ -210,7 +210,6 @@ _CLASS_NAMES = {"a": "treatment", "z": "instrument"}
 
 ESTIMANDS = tuple(sorted(_TABLE))
 
-NDJSON_FIELDS = ("n", "estimate", "sigma", "lower", "upper", "lower_int", "upper_int", "stopped")
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -353,11 +352,11 @@ class BandPoint:
 
 
 class _GrowArray:
-    """Append-only float buffer with amortized O(1) growth."""
+    """Append-only table of float rows with amortized O(1) growth."""
 
-    def __init__(self, columns: int | None = None):
-        shape = (16,) if columns is None else (16, columns)
-        self._buf = np.empty(shape)
+    def __init__(self, columns: int):
+        self.columns = columns
+        self._buf = np.empty((16, columns))
         self._n = 0
 
     def __len__(self) -> int:
@@ -365,7 +364,7 @@ class _GrowArray:
 
     def append(self, row) -> None:
         if self._n == self._buf.shape[0]:
-            new = np.empty((2 * self._n,) + self._buf.shape[1:])
+            new = np.empty((2 * self._n, self.columns))
             new[: self._n] = self._buf
             self._buf = new
         self._buf[self._n] = row
@@ -389,11 +388,8 @@ class Stream:
         self.clip_events = 0
         self.holdout_rmse: dict[str, list[tuple[int, float]]] = {}
         self.last_fit: DmlFit | None = None
-        self._x_dim: int | None = None
-        self._y = _GrowArray()
-        self._a = _GrowArray()
-        self._z = _GrowArray()
-        self._X: _GrowArray | None = None
+        # One row per observation: y, a, z (NaN when absent), then x.
+        self._rows: _GrowArray | None = None
         self._fold_models: list[dict] | None = None
         self._next_refit: int | None = None
         # Score moments of the rows scored since the last refit; None until
@@ -404,7 +400,7 @@ class Stream:
 
     @property
     def n(self) -> int:
-        return len(self._y)
+        return 0 if self._rows is None else len(self._rows)
 
     def push(self, obs: Observation) -> "Stream":
         """Append one observation; no estimation. Its fold is its arrival
@@ -413,17 +409,14 @@ class Stream:
             raise IngestError(
                 f"the {self.config.estimand} estimand requires an instrument z on every row"
             )
-        if self._x_dim is None:
-            self._x_dim = len(obs.x)
-            self._X = _GrowArray(columns=self._x_dim)
-        elif len(obs.x) != self._x_dim:
+        if self._rows is None:
+            self._rows = _GrowArray(3 + len(obs.x))
+        elif len(obs.x) != self._rows.columns - 3:
             raise IngestError(
-                f"covariate dimension changed from {self._x_dim} to {len(obs.x)}"
+                f"covariate dimension changed from {self._rows.columns - 3} to {len(obs.x)}"
             )
-        self._y.append(obs.y)
-        self._a.append(float(obs.a))
-        self._z.append(float(obs.z) if obs.z is not None else np.nan)
-        self._X.append(obs.x)
+        z = float(obs.z) if obs.z is not None else np.nan
+        self._rows.append((obs.y, float(obs.a), z, *obs.x))
         if self.stopped_at is not None:
             self.post_stop_pushes += 1
         return self
@@ -436,7 +429,12 @@ class Stream:
     # -- nuisance fitting ---------------------------------------------------
 
     def _columns(self, rows) -> dict[str, np.ndarray]:
-        return {"y": self._y.view()[rows], "a": self._a.view()[rows], "z": self._z.view()[rows]}
+        table = self._rows.view()
+        return {"y": table[rows, 0], "a": table[rows, 1], "z": table[rows, 2]}
+
+    def _covariates(self, rows: np.ndarray) -> np.ndarray:
+        """Covariates of the given row indices, as a C-contiguous copy."""
+        return self._rows.view()[rows, 3:]
 
     def _loss_weights(self) -> dict[str, float]:
         """Loss weights of the gamma and nu nuisances, by bundle key."""
@@ -470,7 +468,7 @@ class Stream:
                     "class; peek deferred"
                 )
         weights = self._loss_weights()
-        X = self._X.view()[train_idx]
+        X = self._covariates(train_idx)
         models: dict = {"fold": fold, "train_n": train_n}
         for nuis in est.nuisances:
             spec_name, _kinds, fit = _ROLES[nuis.role]
@@ -481,8 +479,9 @@ class Stream:
             )
         return models
 
-    def _record_holdout_rmse(self, n: int, bundles: list[dict]) -> None:
-        X = self._X.view()[:n]
+    def _record_holdout_rmse(self, n: int, preds: dict[str, np.ndarray]) -> None:
+        """Mean over folds of each tracked nuisance's RMSE on its holdout
+        rows, from the out-of-fold predictions of rows 0..n-1 at a refit."""
         cols = self._columns(slice(n))
         fold_ids = self.plan.assignments(n)
         # nu has no directly observable target, so it is not tracked.
@@ -492,13 +491,13 @@ class Stream:
             if nuis.target is not None
         ]
         sums: dict[str, list[float]] = {}
-        for k, models in enumerate(bundles):
+        for k in range(self.config.k_folds):
             hold = fold_ids == k
             for nuis, subset in tracked:
                 mask = hold if nuis.subset == "all" else hold & subset
                 if mask.sum() == 0:
                     continue
-                err = cols[nuis.target][mask] - models[nuis.key].predict(X[mask])
+                err = cols[nuis.target][mask] - preds[nuis.key][mask]
                 sums.setdefault(nuis.key, []).append(float(np.sqrt(np.mean(err * err))))
         for name, vals in sums.items():
             self.holdout_rmse.setdefault(name, []).append((n, float(np.mean(vals))))
@@ -509,74 +508,73 @@ class Stream:
         # leaves the previous models usable.
         self._fold_models = bundles
         self._moments = None  # every row is rescored by the new models
-        self._record_holdout_rmse(n, bundles)
         factor = self.config.refit_factor
         threshold = float(self.config.burn_in)
         while threshold <= n:
             threshold = threshold * factor
         self._next_refit = int(math.ceil(threshold))
 
-    def _refit_due(self, n: int) -> bool:
-        if self._fold_models is None:
-            return True
-        return self._next_refit is not None and n >= self._next_refit
-
     # -- scoring ------------------------------------------------------------
 
-    def _clipped_propensity(self, model, X) -> np.ndarray:
-        # Count against the unclipped probability: the model's own clip
-        # usually equals epsilon and would hide every event.
-        raw = model.probability(X)
-        eps = self.config.epsilon
-        self.clip_events += int(np.sum((raw < eps) | (raw > 1.0 - eps)))
-        return np.clip(np.clip(raw, *model.clip), eps, 1.0 - eps)
+    def _predictions(self, start: int, n: int) -> tuple[dict[str, np.ndarray], int]:
+        """Out-of-fold prediction of every nuisance for rows start..n-1, by
+        bundle key, each row from its own fold's models; and the number of
+        propensity clip events among them.
 
-    def _score_rows(self, rows: np.ndarray, models: dict) -> tuple[np.ndarray, np.ndarray]:
-        X = self._X.view()[rows]
-        cols = self._columns(rows)
-        preds = {
-            nuis.key: (
-                self._clipped_propensity(models[nuis.key], X)
-                if nuis.role == "propensity"
-                else models[nuis.key].predict(X)
-            )
-            for nuis in self._estimand.nuisances
-        }
-        return self._estimand.score(cols["y"], cols["a"], cols["z"], preds, self._loss_weights())
-
-    def _score_range(self, start: int, n: int):
-        """Scores of rows start..n-1, each from its own fold's models, and
-        the rows' fold ids."""
-        k_folds = self.config.k_folds
+        Propensities are clipped to [epsilon, 1 - epsilon]. The events are
+        counted against the unclipped probability: the model's own clip
+        usually equals epsilon and would hide every event.
+        """
+        if self._fold_models is None:
+            raise NotReadyError("nuisances have not been fit yet; peek first")
+        k_folds, eps = self.config.k_folds, self.config.epsilon
         rows = np.arange(start, n)
-        fold_ids = rows % k_folds
-        psi_a = np.empty(n - start)
-        psi_b = np.empty(n - start)
-        for k in range(k_folds):
+        preds = {nuis.key: np.empty(n - start) for nuis in self._estimand.nuisances}
+        clip_events = 0
+        for k, models in enumerate(self._fold_models):
             local = slice((k - start) % k_folds, None, k_folds)
             fold_rows = rows[local]
             if not fold_rows.size:
                 continue
-            models = self._fold_models[k]
             # Out-of-fold purity: the bundle was trained on the rows below
             # its train_n outside its fold, and must never score one of them.
-            trained = (fold_rows < models["train_n"]) & (fold_ids[local] != models["fold"])
+            trained = (fold_rows < models["train_n"]) & (fold_rows % k_folds != models["fold"])
             if trained.any():
                 raise AssertionError(f"fold {k} models would score rows they were trained on")
-            psi_a[local], psi_b[local] = self._score_rows(fold_rows, models)
-        return psi_a, psi_b, fold_ids
+            X = self._covariates(fold_rows)
+            for nuis in self._estimand.nuisances:
+                model = models[nuis.key]
+                if nuis.role == "propensity":
+                    raw = model.probability(X)
+                    clip_events += int(np.sum((raw < eps) | (raw > 1.0 - eps)))
+                    preds[nuis.key][local] = np.clip(np.clip(raw, *model.clip), eps, 1.0 - eps)
+                else:
+                    preds[nuis.key][local] = model.predict(X)
+        return preds, clip_events
 
-    def _solve(self, n: int) -> DmlFit:
+    def _solve(self, n: int, refit: bool) -> DmlFit:
         """Fold the rows scored since the last peek into the moments, then
-        solve; after a refit, rescore every row and rebuild the moments."""
+        solve; after a refit, rescore every row, record the holdout RMSE
+        and rebuild the moments."""
         cfg = self.config
-        if self._moments is None:
-            self.clip_events = 0  # every row is rescored by the new models
-            self._moments = ScoreMoments.centred(
-                *self._score_range(0, n), cfg.k_folds, cfg.dml_variant
+        start = 0 if self._moments is None else self._moments.n
+        if start < n:
+            preds, clip_events = self._predictions(start, n)
+            if refit:
+                self._record_holdout_rmse(n, preds)
+            cols = self._columns(slice(start, n))
+            psi_a, psi_b = self._estimand.score(
+                cols["y"], cols["a"], cols["z"], preds, self._loss_weights()
             )
-        elif self._moments.n < n:
-            self._moments.add(*self._score_range(self._moments.n, n))
+            fold_ids = np.arange(start, n) % cfg.k_folds
+            if self._moments is None:
+                self.clip_events = clip_events  # every row is rescored by the new models
+                self._moments = ScoreMoments.centred(
+                    psi_a, psi_b, fold_ids, cfg.k_folds, cfg.dml_variant
+                )
+            else:
+                self.clip_events += clip_events
+                self._moments.add(psi_a, psi_b, fold_ids)
         return self._moments.solve(cfg.dml_variant)
 
     # -- peeking ------------------------------------------------------------
@@ -590,9 +588,10 @@ class Stream:
         if self.peek_log and self.peek_log[-1].n == n:
             return self.peek_log[-1]
         # burn_in >= k_folds, so every fold already holds a row.
-        if self._refit_due(n):
+        refit = self._fold_models is None or n >= self._next_refit
+        if refit:
             self._refit(n)
-        fit = self._solve(n)
+        fit = self._solve(n, refit)
         sigma_sq = float(fit.sigma_sq_hat)
         if self.rho is None and not sigma_sq > 0:
             # rho cannot be tuned to a zero variance; a later peek may see some.
@@ -642,31 +641,12 @@ class Stream:
         """Peek log as NDJSON, one fixed-schema record per peek."""
         return "".join(p.to_json() + "\n" for p in self.peek_log)
 
-    def _eval_columns(self) -> dict[str, np.ndarray]:
-        """Out-of-fold prediction column of each nuisance in the estimand's
-        evals, by bundle key, for every buffered row. Propensities are
-        clipped to [epsilon, 1 - epsilon] without counting clip events."""
-        if self._fold_models is None:
-            raise NotReadyError("nuisances have not been fit yet; peek first")
-        cfg, est = self.config, self._estimand
-        roles = {nuis.key: nuis.role for nuis in est.nuisances}
-        n = self.n
-        columns = {key: np.empty(n) for key in est.evals.values()}
-        for k in range(cfg.k_folds):
-            rows = slice(k, n, cfg.k_folds)  # fold k: row indices k mod k_folds
-            X = self._X.view()[rows]
-            for key, values in columns.items():
-                pred = self._fold_models[k][key].predict(X)
-                if roles[key] == "propensity":
-                    pred = np.clip(pred, cfg.epsilon, 1.0 - cfg.epsilon)
-                values[rows] = pred
-        return columns
-
     def nuisance_evals(self) -> list[NuisanceEval]:
         """Out-of-fold nuisance evaluations for every buffered row, one per
         row of the evals' columns (for the partial-identification estimands
         they describe the treated-arm bound). Requires a peek first."""
-        fields, columns = self._estimand.evals, self._eval_columns()
+        columns, _clip_events = self._predictions(0, self.n)
+        fields = self._estimand.evals
         rows = zip(*(columns[key].tolist() for key in fields.values()))
         return [NuisanceEval(**dict(zip(fields, values))) for values in rows]
 
@@ -678,7 +658,8 @@ class Stream:
         if self.last_fit is None:
             raise NotReadyError("no estimate yet; peek first")
         est, n, step = self._estimand, self.n, 1e-5
-        columns, data = self._eval_columns(), self._columns(slice(n))
+        columns, _clip_events = self._predictions(0, n)
+        data = self._columns(slice(n))
         weights, theta = self._loss_weights(), float(self.last_fit.theta_hat)
         clipped = {nuis.key for nuis in est.nuisances if nuis.role == "propensity"}
 

@@ -615,10 +615,20 @@ def _parse_kv(lines: list[str], key: str) -> str:
 
 
 def load_model(text: str) -> FittedNuisance:
-    """Parse a model serialized by :func:`dump_model`."""
+    """Parse a model serialized by :func:`dump_model`; malformed text raises
+    ParameterError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FORMAT_HEADER:
         raise ParameterError(f"model text must start with {FORMAT_HEADER!r}")
+    try:
+        return _parse_model(lines)
+    except ParameterError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise ParameterError(f"malformed model text: {exc}") from None
+
+
+def _parse_model(lines: list[str]) -> FittedNuisance:
     kind = _parse_kv(lines, "kind")
     if kind == "ridge":
         return RidgeModel(
@@ -644,15 +654,17 @@ def load_model(text: str) -> FittedNuisance:
         n_trees = int(_parse_kv(lines, "n_trees"))
         trees = []
         idx = next(i for i, ln in enumerate(lines) if ln.startswith("n_trees = ")) + 1
-        for _ in range(n_trees):
+        for i in range(n_trees):
             head = lines[idx].split()
             if head[0] != "tree":
                 raise ParameterError(f"expected a tree header, got {lines[idx]!r}")
             n_nodes = int(head[3])
-            nodes = [lines[idx + 1 + k].split()[1:] for k in range(n_nodes)]
-            trees.append(
-                _Tree.from_nodes((int(f), float(t), int(l), int(r), float(v)) for f, t, l, r, v in nodes)
-            )
+            rows = [lines[idx + 1 + k].split() for k in range(n_nodes)]
+            nodes = [(int(f), float(t), int(l), int(r), float(v)) for _, f, t, l, r, v in rows]
+            # A split's children must be nodes of its own tree.
+            if any(f >= 0 and not (0 <= l < n_nodes and 0 <= r < n_nodes) for f, _, l, r, _ in nodes):
+                raise ParameterError(f"tree {i} links a split to a node outside the tree")
+            trees.append(_Tree.from_nodes(nodes))
             idx += 1 + n_nodes
         return GbtModel(
             init_value=float(_parse_kv(lines, "init")),

@@ -243,6 +243,19 @@ def _write_rows(path: Path, rows: list[tuple]) -> None:
             writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
 
 
+def _peek_grid(n_max: int, peek_every: int, burn_in: int | None) -> tuple[list[int], int]:
+    """The peek sizes, the multiples of peek_every up to n_max from burn_in
+    on, and the burn-in, which defaults to peek_every."""
+    if peek_every < 1:
+        raise ParameterError(f"peek_every must be >= 1, got {peek_every}")
+    if burn_in is None:
+        burn_in = peek_every
+    grid = [n for n in range(peek_every, n_max + 1, peek_every) if n >= burn_in]
+    if not grid:
+        raise ParameterError("peek grid is empty; lower burn_in or raise n_max")
+    return grid, burn_in
+
+
 def run_coverage(
     dgp: str,
     estimand: str,
@@ -269,12 +282,7 @@ def run_coverage(
         raise ParameterError(f"reps must be >= 1, got {reps}")
     if dgp not in ("late", "partial_id"):
         raise ParameterError(f"dgp must be 'late' or 'partial_id', got {dgp!r}")
-    grid = list(range(peek_every, n_max + 1, peek_every))
-    if burn_in is None:
-        burn_in = grid[0]
-    grid = [g for g in grid if g >= burn_in]
-    if not grid:
-        raise ParameterError("peek grid is empty; lower burn_in or raise n_max")
+    grid, burn_in = _peek_grid(n_max, peek_every, burn_in)
 
     if dgp == "late":
         params = dgp_params or LateDgpParams.from_seed(seed)
@@ -375,11 +383,10 @@ def run_pate_band(
     synchronized peek is the lower intersected bound of the lower-bound
     stream and the upper intersected bound of the upper-bound stream.
     """
+    grid, burn_in = _peek_grid(n_max, peek_every, burn_in)
     params = dgp_params or PartialIdDgpParams.from_seed(seed)
     if gamma is None:
         gamma = params.gamma_data
-    if burn_in is None:
-        burn_in = peek_every
     observations, _ = gen_partial_id(n_max, params, seed=[seed, 1])
 
     def config(estimand: str) -> StreamConfig:
@@ -396,9 +403,7 @@ def run_pate_band(
     lower_stream = Stream(config("pate_lower"))
     upper_stream = Stream(config("pate_upper"))
     points: list[BandPoint] = []
-    for n in range(peek_every, n_max + 1, peek_every):
-        if n < burn_in:
-            continue
+    for n in grid:
         lower_stream.extend(observations[lower_stream.n:n])
         upper_stream.extend(observations[upper_stream.n:n])
         try:

@@ -71,6 +71,21 @@ class TestSimulate:
         assert rows[0] == "n,lower_band,upper_band"
         assert len(rows) == 1 + 2
 
+    @pytest.mark.parametrize("dgp, extra", [
+        ("partial-id", ["--n-max", "100", "--peek-every", "250"]),
+        ("partial-id", ["--n-max", "1000", "--peek-every", "250", "--burn-in", "2000"]),
+        ("late", ["--n-max", "100", "--peek-every", "250"]),
+    ])
+    def test_empty_peek_grid_is_a_usage_error(self, tmp_path, capsys, dgp, extra):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["simulate", "--dgp", dgp, "--reps", "1", "--out-dir", str(out)] + extra, capsys
+        )
+        assert code == 2
+        assert "peek grid is empty" in err
+        assert stdout == ""
+        assert list(out.iterdir()) == []
+
     def test_missing_dgp_is_usage_error(self, capsys):
         code, _, err = run_cli(["simulate", "--reps", "2"], capsys)
         assert code == 2

@@ -19,6 +19,8 @@ from seqdml import (
     LateDgpParams,
     PartialIdDgpParams,
 )
+from seqdml.crossfit import ScoreMoments
+from seqdml.engine import _TABLE
 from seqdml.errors import (
     EstimandError,
     IngestError,
@@ -27,6 +29,7 @@ from seqdml.errors import (
     ParameterError,
     SyncError,
 )
+from seqdml.nuisance import LogisticModel, RidgeModel
 from seqdml.scores import (
     GammaParam,
     NuisanceEval,
@@ -218,14 +221,7 @@ class TestPeek:
         assert run() == run()
 
     def test_out_of_fold_purity_enforced(self):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=11))
-        stream.extend(null_effect_observations(120, seed=11))
-        stream.peek()
-        # poison one fold's provenance: fold 0's models now claim to have
-        # been trained on fold 0's rows, which they will be asked to score
-        poisoned = dict(stream._fold_models[0])
-        poisoned["fold"] = 1
-        stream._fold_models[0] = poisoned
+        stream = poisoned_stream()
         stream._moments = None  # force rescoring of every row
         stream.extend(null_effect_observations(10, seed=99))
         with pytest.raises(AssertionError):
@@ -267,6 +263,10 @@ class TestPeek:
             raw = stream._fold_models[k]["e"].probability(x[rows])
             expected += int(np.sum((raw < eps) | (raw > 1.0 - eps)))
         assert expected > 0
+        assert stream.clip_events == expected
+        # The diagnostics read the same predictions but never count.
+        stream.nuisance_evals()
+        stream.orthogonality_derivatives()
         assert stream.clip_events == expected
 
     def test_plr_stream_runs(self):
@@ -484,3 +484,117 @@ class TestOrthogonalityDerivatives:
                 aipw_score, [(1.0, obs) for obs in observations], lambda obs: evals[id(obs)],
                 lambda obs: NuisanceEval(e=1.0), float(stream.last_fit.theta_hat),
             )
+
+
+def poisoned_stream():
+    """A fitted ATE stream whose fold 0 models claim to have been trained on
+    fold 0's rows, which they will be asked to score."""
+    stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=11))
+    stream.extend(null_effect_observations(120, seed=11))
+    stream.peek()
+    poisoned = dict(stream._fold_models[0])
+    poisoned["fold"] = 1
+    stream._fold_models[0] = poisoned
+    return stream
+
+
+def oracle_holdout_rmse(stream, observations, n):
+    """The earlier holdout RMSE loop, which predicted each fold's holdout
+    subset with that fold's models at the refit."""
+    X = np.array([obs.x for obs in observations[:n]])
+    cols = {
+        "y": np.array([obs.y for obs in observations[:n]]),
+        "a": np.array([float(obs.a) for obs in observations[:n]]),
+        "z": np.array([np.nan if obs.z is None else float(obs.z) for obs in observations[:n]]),
+    }
+    fold_ids = stream.plan.assignments(n)
+    sums = {}
+    for k, models in enumerate(stream._fold_models):
+        hold = fold_ids == k
+        for nuis in _TABLE[stream.config.estimand].nuisances:
+            if nuis.target is None:
+                continue
+            mask = hold
+            if nuis.subset != "all":
+                mask = hold & (cols[nuis.subset[0]] == float(nuis.subset[1:]))
+            if mask.sum() == 0:
+                continue
+            err = cols[nuis.target][mask] - models[nuis.key].predict(X[mask])
+            sums.setdefault(nuis.key, []).append(float(np.sqrt(np.mean(err * err))))
+    return {key: float(np.mean(vals)) for key, vals in sums.items()}
+
+
+class TestOnePredictionPass:
+    @pytest.mark.parametrize("estimand", ["ate", "plr", "late", "pate_lower", "pate_upper"])
+    def test_holdout_rmse_matches_the_per_subset_oracle(self, estimand):
+        seed = 31
+        if estimand == "late":
+            observations = gen_late(900, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
+        else:
+            observations = gen_partial_id(900, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
+        stream = Stream(StreamConfig(
+            estimand=estimand, burn_in=100, gamma=1.5, seed=seed,
+            gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
+        ))
+        refits = []
+        for n in range(100, 901, 100):
+            stream.extend(observations[stream.n:n])
+            before = sum(map(len, stream.holdout_rmse.values()))
+            stream.peek()
+            if sum(map(len, stream.holdout_rmse.values())) > before:
+                refits.append(n)
+                want = oracle_holdout_rmse(stream, observations, n)
+                got = {key: values[-1] for key, values in stream.holdout_rmse.items()}
+                assert set(got) == set(want)
+                for key, value in want.items():
+                    assert got[key] == (n, pytest.approx(value, rel=1e-12, abs=0.0))
+        assert refits == [100, 200, 400, 800]
+
+    def test_a_refit_predicts_each_row_once_per_nuisance(self, monkeypatch):
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=18))
+        stream.extend(null_effect_observations(250, seed=18))
+        stream.peek()
+        rows = {"ridge": 0, "probability": 0}
+
+        def counted(name, method):
+            def wrapper(model, X):
+                rows[name] += len(X)
+                return method(model, X)
+            return wrapper
+
+        monkeypatch.setattr(RidgeModel, "predict", counted("ridge", RidgeModel.predict))
+        monkeypatch.setattr(
+            LogisticModel, "probability", counted("probability", LogisticModel.probability)
+        )
+        stream.extend(null_effect_observations(160, seed=19))
+        stream.peek()  # n = 410 is past the refit at 400
+        assert rows == {"ridge": 2 * 410, "probability": 410}
+
+    def test_purity_guards_the_diagnostics(self):
+        stream = poisoned_stream()
+        with pytest.raises(AssertionError):
+            stream.nuisance_evals()
+        with pytest.raises(AssertionError):
+            stream.orthogonality_derivatives()
+
+    def test_holdout_rmse_is_recorded_once_per_refit(self, monkeypatch):
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=20))
+        observations = null_effect_observations(260, seed=20)
+        stream.extend(observations[:150]).peek()
+        original, failed = ScoreMoments.centred, []
+
+        def fail_once(*args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise RuntimeError("rebuild failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ScoreMoments, "centred", fail_once)
+        stream.extend(observations[150:250])
+        with pytest.raises(RuntimeError):
+            stream.peek()  # the refit at 250 rescores every row, and the rebuild fails
+        stream.extend(observations[250:]).peek()  # rescores every row again
+        assert failed
+        assert stream.holdout_rmse
+        for values in stream.holdout_rmse.values():
+            assert [n for n, _ in values] == [150, 250]

@@ -306,6 +306,29 @@ class TestDumpLoad:
         with pytest.raises(ParameterError, match="cycle"):
             load_model(text)
 
+    GBT_HEAD = "seqdml-model v1\nkind = gbt\ninit = 0.0\nlearning_rate = 0.1\n"
+    SPLIT = "tree 0 nodes 3\nnode 0 0.5 1 2 0.0\n"
+    LEAVES = "node -1 0.0 -1 -1 1.0\nnode -1 0.0 -1 -1 2.0\n"
+
+    @pytest.mark.parametrize("text", [
+        GBT_HEAD + "n_trees = 1\n" + SPLIT,  # truncated
+        GBT_HEAD + "n_trees = 2\n" + SPLIT + LEAVES,  # fewer trees than n_trees
+        GBT_HEAD + "n_trees = 1\ntree 0 nodes 3\nnode 0 0.5 1 2 0.0 7\n" + LEAVES,
+        GBT_HEAD + "n_trees = 1\ntree 0 nodes 3\nnode 0 abc 1 2 0.0\n" + LEAVES,
+        GBT_HEAD + "n_trees = 2\ntree 0 nodes 3\nnode 0 0.5 1 5 0.0\n" + LEAVES
+        + "tree 1 nodes 3\nnode 0 0.5 1 2 0.0\n" + LEAVES,
+        GBT_HEAD + "n_trees = 2\n" + SPLIT + LEAVES
+        + "tree 1 nodes 3\nnode 0 0.5 1 -3 0.0\n" + LEAVES,
+        GBT_HEAD + "n_trees = 1\ntree 0 nodes 3\nnode 0 0.5 1 3 0.0\n" + LEAVES,
+        GBT_HEAD + "n_trees = x\n",
+        "seqdml-model v1\nkind = ridge\nintercept = 0.0\ncoef = 1.0 nan? \n",
+        "seqdml-model v1\nkind = logistic\nintercept = 0.0\ncoef = 1.0\nclip = 0.01\n",
+    ], ids=["truncated", "missing-tree", "extra-field", "bad-threshold", "link-into-next-tree",
+            "negative-link", "link-past-end", "bad-n-trees", "bad-coef", "short-clip"])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ParameterError):
+            load_model(text)
+
     def test_header_required(self):
         with pytest.raises(ParameterError):
             load_model("kind = ridge\nintercept = 0.0\ncoef = 1.0\n")

@@ -232,3 +232,19 @@ class TestRunPateBand:
         params = PartialIdDgpParams.from_seed(22)
         result = run_pate_band(n_max=1000, peek_every=500, seed=22, dgp_params=params)
         assert result.truth == params.tau
+
+
+class TestEmptyPeekGrid:
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_max=300, peek_every=500),
+        dict(n_max=300, peek_every=-5),
+        dict(n_max=300, peek_every=0),
+        dict(n_max=1000, peek_every=250, burn_in=2000),
+    ])
+    @pytest.mark.parametrize("runner", ["coverage", "band"])
+    def test_rejected_with_a_parameter_error(self, runner, kwargs):
+        with pytest.raises(ParameterError, match="peek"):
+            if runner == "coverage":
+                run_coverage(dgp="late", estimand="late", reps=1, **kwargs)
+            else:
+                run_pate_band(**kwargs)
