@@ -124,6 +124,13 @@ def _as_matrix_stack(psi_a: np.ndarray, psi_b: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _min_max_singular(mat: np.ndarray) -> tuple[float, float]:
+    if mat.shape == (1, 1):
+        # The singular value of a 1x1 matrix is its absolute value. LAPACK
+        # first rescales a matrix of tiny or huge norm, which can move it by
+        # an ulp, and rejects NaN; those go through the SVD.
+        s = abs(float(mat[0, 0]))
+        if 1e-100 <= s <= 1e100:
+            return s, s
     svals = np.linalg.svd(mat, compute_uv=False)
     return float(svals.min()), float(svals.max())
 
@@ -136,7 +143,22 @@ def _solve_linear(mean_a: np.ndarray, mean_b: np.ndarray, context: str) -> np.nd
             f"(smallest singular value {smin:.3e} <= {SINGULAR_TOL:.0e})",
             smallest_singular_value=smin,
         )
+    return _solve(mean_a, mean_b)
+
+
+def _solve(mean_a: np.ndarray, mean_b: np.ndarray) -> np.ndarray:
+    """theta with mean_a theta + mean_b = 0, without the singular check."""
+    if mean_a.shape == (1, 1):
+        # Divided out in Python floats, which, like LAPACK and unlike NumPy
+        # arithmetic, overflow to inf without a warning.
+        return np.array([-float(mean_b[0]) / float(mean_a[0, 0])])
     return np.linalg.solve(mean_a, -mean_b)
+
+
+def _inverse(mat: np.ndarray) -> np.ndarray:
+    if mat.shape == (1, 1):
+        return np.array([[1.0 / float(mat[0, 0])]])
+    return np.linalg.inv(mat)
 
 
 def _exact_add(partials: list[float], values: list[float]) -> list[float]:
@@ -259,7 +281,7 @@ class ScoreMoments:
                 fold_thetas.append(_solve_linear(ma, mb, f"fold {k}"))
             else:
                 smin, _ = _min_max_singular(ma)
-                fold_thetas.append(np.linalg.solve(ma, -mb) if smin > SINGULAR_TOL else None)
+                fold_thetas.append(_solve(ma, mb) if smin > SINGULAR_TOL else None)
         if variant == "dml1":
             theta = _fsum_mean(np.array(fold_thetas))
         else:
@@ -284,7 +306,7 @@ class ScoreMoments:
                 f"variance: Jacobian singular (smallest singular value {smin:.3e})",
                 smallest_singular_value=smin,
             )
-        j_inv = np.linalg.inv(np.atleast_2d(j_hat))
+        j_inv = _inverse(np.atleast_2d(j_hat))
         fold_sigmas = [_project_psd(j_inv @ m @ j_inv.T) for m in fold_mids]
         if variant == "dml1":
             return _project_psd(_fsum_mean(np.array(fold_sigmas))), fold_sigmas
@@ -336,6 +358,12 @@ def solve_arrays(
 def _project_psd(mat: np.ndarray) -> np.ndarray:
     """Symmetrize and clamp tiny negative eigenvalues at zero."""
     sym = 0.5 * (mat + mat.T)
+    if sym.shape == (1, 1):
+        # A 1x1 matrix is its own eigenvalue.
+        if sym[0, 0] < 0.0:
+            logger.debug("clamping negative variance eigenvalue %.3e to 0", sym[0, 0])
+            return np.zeros((1, 1))
+        return sym
     eigvals, eigvecs = np.linalg.eigh(sym)
     if eigvals.min() < 0.0:
         logger.debug("clamping negative variance eigenvalue %.3e to 0", eigvals.min())

@@ -516,10 +516,10 @@ class Stream:
 
     # -- scoring ------------------------------------------------------------
 
-    def _predictions(self, start: int, n: int) -> tuple[dict[str, np.ndarray], int]:
-        """Out-of-fold prediction of every nuisance for rows start..n-1, by
-        bundle key, each row from its own fold's models; and the number of
-        propensity clip events among them.
+    def _predictions(self, start: int, n: int, keys) -> tuple[dict[str, np.ndarray], int]:
+        """Out-of-fold prediction of the nuisances ``keys`` for rows
+        start..n-1, by bundle key, each row from its own fold's models; and
+        the number of propensity clip events among them.
 
         Propensities are clipped to [epsilon, 1 - epsilon]. The events are
         counted against the unclipped probability: the model's own clip
@@ -529,7 +529,8 @@ class Stream:
             raise NotReadyError("nuisances have not been fit yet; peek first")
         k_folds, eps = self.config.k_folds, self.config.epsilon
         rows = np.arange(start, n)
-        preds = {nuis.key: np.empty(n - start) for nuis in self._estimand.nuisances}
+        preds = {key: np.empty(n - start) for key in keys}
+        nuisances = [nuis for nuis in self._estimand.nuisances if nuis.key in preds]
         clip_events = 0
         for k, models in enumerate(self._fold_models):
             local = slice((k - start) % k_folds, None, k_folds)
@@ -542,7 +543,7 @@ class Stream:
             if trained.any():
                 raise AssertionError(f"fold {k} models would score rows they were trained on")
             X = self._covariates(fold_rows)
-            for nuis in self._estimand.nuisances:
+            for nuis in nuisances:
                 model = models[nuis.key]
                 if nuis.role == "propensity":
                     raw = model.probability(X)
@@ -559,7 +560,8 @@ class Stream:
         cfg = self.config
         start = 0 if self._moments is None else self._moments.n
         if start < n:
-            preds, clip_events = self._predictions(start, n)
+            keys = [nuis.key for nuis in self._estimand.nuisances]
+            preds, clip_events = self._predictions(start, n, keys)
             if refit:
                 self._record_holdout_rmse(n, preds)
             cols = self._columns(slice(start, n))
@@ -645,8 +647,8 @@ class Stream:
         """Out-of-fold nuisance evaluations for every buffered row, one per
         row of the evals' columns (for the partial-identification estimands
         they describe the treated-arm bound). Requires a peek first."""
-        columns, _clip_events = self._predictions(0, self.n)
         fields = self._estimand.evals
+        columns, _clip_events = self._predictions(0, self.n, fields.values())
         rows = zip(*(columns[key].tolist() for key in fields.values()))
         return [NuisanceEval(**dict(zip(fields, values))) for values in rows]
 
@@ -658,7 +660,7 @@ class Stream:
         if self.last_fit is None:
             raise NotReadyError("no estimate yet; peek first")
         est, n, step = self._estimand, self.n, 1e-5
-        columns, _clip_events = self._predictions(0, n)
+        columns, _clip_events = self._predictions(0, n, est.evals.values())
         data = self._columns(slice(n))
         weights, theta = self._loss_weights(), float(self.last_fit.theta_hat)
         clipped = {nuis.key for nuis in est.nuisances if nuis.role == "propensity"}

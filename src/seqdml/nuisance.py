@@ -321,6 +321,8 @@ def fit_ridge(X, y, spec: LearnerSpec) -> RidgeModel:
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise FitError("fit_ridge: empty training data")
+    if X.shape[1] == 0:
+        raise ParameterError("fit_ridge: covariates need at least one column")
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
     Xc = X - x_mean
@@ -353,6 +355,8 @@ def fit_logistic(X, y, spec: LearnerSpec) -> LogisticModel:
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise FitError("fit_logistic: empty training data")
+    if X.shape[1] == 0:
+        raise ParameterError("fit_logistic: covariates need at least one column")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ParameterError("fit_logistic labels must be 0 or 1")
     n, d = X.shape
@@ -628,28 +632,31 @@ def load_model(text: str) -> FittedNuisance:
         raise ParameterError(f"malformed model text: {exc}") from None
 
 
+def _parse_logistic(lines: list[str]) -> LogisticModel:
+    clip = tuple(float(v) for v in _parse_kv(lines, "clip").split())
+    if len(clip) != 2 or not 0.0 < clip[0] < clip[1] < 1.0:
+        raise ParameterError(f"clip must be two probabilities 0 < lo < hi < 1, got {clip}")
+    return LogisticModel(
+        intercept=float(_parse_kv(lines, "intercept")), coef=_parse_coef(lines), clip=clip
+    )
+
+
+def _parse_coef(lines: list[str]) -> np.ndarray:
+    coef = np.array([float(v) for v in _parse_kv(lines, "coef").split()])
+    if not coef.size:
+        raise ParameterError("coef must list at least one coefficient")
+    return coef
+
+
 def _parse_model(lines: list[str]) -> FittedNuisance:
     kind = _parse_kv(lines, "kind")
     if kind == "ridge":
-        return RidgeModel(
-            intercept=float(_parse_kv(lines, "intercept")),
-            coef=np.array([float(v) for v in _parse_kv(lines, "coef").split()]),
-        )
+        return RidgeModel(intercept=float(_parse_kv(lines, "intercept")), coef=_parse_coef(lines))
     if kind == "logistic":
-        clip = tuple(float(v) for v in _parse_kv(lines, "clip").split())
-        return LogisticModel(
-            intercept=float(_parse_kv(lines, "intercept")),
-            coef=np.array([float(v) for v in _parse_kv(lines, "coef").split()]),
-            clip=(clip[0], clip[1]),
-        )
+        return _parse_logistic(lines)
     if kind == "nu":
-        clip = tuple(float(v) for v in _parse_kv(lines, "clip").split())
-        inner = LogisticModel(
-            intercept=float(_parse_kv(lines, "intercept")),
-            coef=np.array([float(v) for v in _parse_kv(lines, "coef").split()]),
-            clip=(clip[0], clip[1]),
-        )
-        return NuModel(prob_model=inner, gamma=float(_parse_kv(lines, "gamma")))
+        gamma = _gamma_weight(float(_parse_kv(lines, "gamma")))
+        return NuModel(prob_model=_parse_logistic(lines), gamma=gamma)
     if kind == "gbt":
         n_trees = int(_parse_kv(lines, "n_trees"))
         trees = []

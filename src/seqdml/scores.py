@@ -50,6 +50,8 @@ class Observation:
             raise ParameterError(f"treatment a must be 0 or 1, got {self.a}")
         if self.z is not None and self.z not in (0, 1):
             raise ParameterError(f"instrument z must be 0 or 1, got {self.z}")
+        if not self.x:
+            raise ParameterError("covariates x must have at least one entry")
         if not all(math.isfinite(v) for v in self.x):
             raise ParameterError("covariates must be finite")
         if not math.isfinite(self.y):

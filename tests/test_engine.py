@@ -29,7 +29,7 @@ from seqdml.errors import (
     ParameterError,
     SyncError,
 )
-from seqdml.nuisance import LogisticModel, RidgeModel
+from seqdml.nuisance import GbtModel, LogisticModel, RidgeModel
 from seqdml.scores import (
     GammaParam,
     NuisanceEval,
@@ -70,6 +70,11 @@ class TestPush:
         stream.push(Observation(y=1.0, a=1, x=(0.0, 1.0)))
         with pytest.raises(IngestError):
             stream.push(Observation(y=1.0, a=0, x=(0.0,)))
+
+    def test_observation_without_covariates_rejected(self):
+        # The coef learners need a covariate; a stream never sees a row without one.
+        with pytest.raises(ParameterError, match="at least one entry"):
+            Observation(y=1.0, a=1, x=())
 
     def test_push_after_stop_flagged(self):
         obs = null_effect_observations(300, seed=3)
@@ -569,6 +574,30 @@ class TestOnePredictionPass:
         stream.extend(null_effect_observations(160, seed=19))
         stream.peek()  # n = 410 is past the refit at 400
         assert rows == {"ridge": 2 * 410, "probability": 410}
+
+    def test_pate_diagnostics_predict_only_the_treated_arm(self, monkeypatch):
+        # The evals and their score read g_t, nu_t and e: the control arm's
+        # GBT never sees a row, and the outputs equal those of a full pass.
+        stream, _ = fitted_stream("pate_lower", 1.5)
+        keys = [nuis.key for nuis in _TABLE["pate_lower"].nuisances]
+        full, _ = stream._predictions(0, stream.n, keys)
+        want_evals = [
+            NuisanceEval(g1=g1, e=e, nu=nu)
+            for g1, e, nu in zip(full["g_t"].tolist(), full["e"].tolist(), full["nu_t"].tolist())
+        ]
+        want_derivatives = stream.orthogonality_derivatives()
+        treated = {id(models["g_t"]) for models in stream._fold_models}
+        seen = []
+
+        def logged(model, X):
+            seen.append(id(model))
+            return predict(model, X)
+
+        predict = GbtModel.predict
+        monkeypatch.setattr(GbtModel, "predict", logged)
+        assert stream.nuisance_evals() == want_evals
+        assert stream.orthogonality_derivatives() == want_derivatives
+        assert seen and set(seen) <= treated
 
     def test_purity_guards_the_diagnostics(self):
         stream = poisoned_stream()

@@ -10,6 +10,7 @@ cross moments, and must agree to LIGHT_REL.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from seqdml import (
     gen_late,
     gen_partial_id,
 )
+from seqdml import crossfit
 from seqdml.crossfit import (
     SINGULAR_TOL,
     DmlFit,
@@ -32,6 +34,7 @@ from seqdml.crossfit import (
     ScoreMoments,
     _as_matrix_stack,
     _exact_add,
+    _inverse,
     _min_max_singular,
     _project_psd,
     _scalar_or_array,
@@ -376,3 +379,176 @@ def test_peek_folds_in_only_new_rows(monkeypatch):
     stream.extend(rows[230:231])
     stream.peek()  # light, one row
     assert log.calls == [("centred", 100), ("add", 37), ("add", 13), ("centred", 230), ("add", 1)]
+
+
+# -- the 1x1 solve against the matrix path ---------------------------------
+#
+# At d = 1 the helpers work on scalars: |a| for the singular values, -b / a
+# for the solve, 1 / a for the inverse and a clamp at 0 for the PSD
+# projection. The oracle is the matrix path they replaced, np.linalg on the
+# same 1x1 arrays. One LAPACK build may compute it differently from another,
+# so the oracle is computed when the tests run, never frozen.
+
+def matrix_min_max_singular(mat):
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return float(svals.min()), float(svals.max())
+
+
+def matrix_solve_linear(mean_a, mean_b, context):
+    smin, _ = matrix_min_max_singular(mean_a)
+    if smin <= crossfit.SINGULAR_TOL:
+        raise IdentificationError(
+            f"{context}: Jacobian is numerically singular "
+            f"(smallest singular value {smin:.3e} <= {crossfit.SINGULAR_TOL:.0e})",
+            smallest_singular_value=smin,
+        )
+    return np.linalg.solve(mean_a, -mean_b)
+
+
+def matrix_project_psd(mat):
+    sym = 0.5 * (mat + mat.T)
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    if eigvals.min() < 0.0:
+        eigvals = np.clip(eigvals, 0.0, None)
+        sym = (eigvecs * eigvals) @ eigvecs.T
+        sym = 0.5 * (sym + sym.T)
+    return sym
+
+
+MATRIX_PATH = {
+    "_min_max_singular": matrix_min_max_singular,
+    "_solve": lambda mean_a, mean_b: np.linalg.solve(mean_a, -mean_b),
+    "_inverse": np.linalg.inv,
+    "_project_psd": matrix_project_psd,
+}
+
+
+def outcome(fn, *args):
+    """What a helper returns or raises, with any RuntimeWarning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return fn(*args)
+        except (ArithmeticError, ValueError, RuntimeWarning, IdentificationError) as exc:
+            return exc
+
+
+def same_outcome(got, want) -> bool:
+    """Equal values with the same sign of zero (NaN matches NaN), or the
+    same exception: type, message and smallest singular value."""
+    if isinstance(want, Exception):
+        return (type(got) is type(want) and str(got) == str(want)
+                and same_float(getattr(got, "smallest_singular_value", 0.0),
+                               getattr(want, "smallest_singular_value", 0.0)))
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and all(map(same_float, got, want))
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and all(map(same_float, got.ravel(), want.ravel()))
+
+
+def same_float(x, y) -> bool:
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e300, -1e-300,
+    1e-100, -1e100, math.nextafter(1e-100, 0.0), math.nextafter(1e100, math.inf), 1e-140, 1e140,
+    SINGULAR_TOL, -SINGULAR_TOL, math.nextafter(SINGULAR_TOL, 0.0),
+    math.nextafter(SINGULAR_TOL, 1.0), -math.nextafter(SINGULAR_TOL, 1.0),
+]
+
+
+def helper_inputs():
+    """20 000 random (a, b) pairs with magnitudes e^-20..e^20 of both signs,
+    then every pair of edge values."""
+    rng = np.random.default_rng(41)
+    signs = rng.choice([-1.0, 1.0], size=(2, 20_000))
+    a, b = signs * np.exp(rng.uniform(-20.0, 20.0, size=(2, 20_000)))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    pairs += [(x, y) for x in EDGE_VALUES for y in EDGE_VALUES + [2.0, -3.0]]
+    return pairs
+
+
+def test_scalar_helpers_match_the_matrix_path():
+    for a, b in helper_inputs():
+        mat, vec = np.array([[a]]), np.array([b])
+        for helper, oracle, args in (
+            (_min_max_singular, matrix_min_max_singular, (mat,)),
+            (_solve_linear, matrix_solve_linear, (mat, vec, "pooled")),
+            (_project_psd, matrix_project_psd, (mat,)),
+        ):
+            assert same_outcome(outcome(helper, *args), outcome(oracle, *args)), (helper, a, b)
+        # sandwich inverts only a Jacobian that passed the singular check.
+        if not abs(a) <= SINGULAR_TOL:
+            assert same_outcome(outcome(_inverse, mat), outcome(np.linalg.inv, mat)), a
+    # The edges named: NaN raises as the SVD does, +-inf solves to -+0.0,
+    # -0.0 passes the projection, a negative variance becomes 0.0, and a
+    # Jacobian at the tolerance is singular.
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        solve_arrays(np.array([math.nan, -1.0]), np.array([1.0, 1.0]), np.arange(2) % 2, 2)
+    assert same_outcome(_solve_linear(np.array([[math.inf]]), np.array([1.0]), "c"), [-0.0])
+    assert same_outcome(_solve_linear(np.array([[-math.inf]]), np.array([1.0]), "c"), [0.0])
+    assert same_outcome(_project_psd(np.array([[-0.0]])), [[-0.0]])
+    assert same_outcome(_project_psd(np.array([[-2.5]])), [[0.0]])
+    with pytest.raises(IdentificationError) as err:
+        _solve_linear(np.array([[-SINGULAR_TOL]]), np.array([1.0]), "pooled")
+    assert err.value.smallest_singular_value == SINGULAR_TOL
+
+
+def test_subnormal_pivot_solves_to_inf_on_both_paths(monkeypatch):
+    # With the tolerance at 0, a 5e-324 pivot passes the singular check.
+    monkeypatch.setattr(crossfit, "SINGULAR_TOL", 0.0)
+    for a, b in ((5e-324, 1.0), (-5e-324, 1.0), (5e-324, -2.0), (0.0, 1.0)):
+        mat, vec = np.array([[a]]), np.array([b])
+        want = outcome(matrix_solve_linear, mat, vec, "pooled")
+        assert same_outcome(outcome(_solve_linear, mat, vec, "pooled"), want)
+    assert same_outcome(_solve_linear(np.array([[5e-324]]), np.array([1.0]), "c"), [-math.inf])
+
+
+def stream_record(estimand, variant, seed):
+    """(CsPoint, DmlFit) at every peek of a stream that peeks every 25 rows."""
+    config = StreamConfig(
+        estimand=estimand, burn_in=100, gamma=1.5, seed=seed, dml_variant=variant,
+        outcome_spec=FEW_ROUNDS if estimand == "plr" else None, gamma_spec=FEW_ROUNDS,
+    )
+    stream, record = Stream(config), []
+    rows = observations(estimand, 425, seed=seed)
+    for n in range(100, 426, 25):
+        stream.extend(rows[stream.n:n])
+        try:
+            point = stream.peek()
+        except NotReadyError:
+            continue
+        record.append((point, stream.last_fit))
+    return record
+
+
+@pytest.mark.parametrize("variant", ["dml1", "dml2"])
+@pytest.mark.parametrize("estimand", ESTIMANDS)
+def test_every_peek_equals_the_matrix_path(estimand, variant, monkeypatch):
+    seed = 43
+    scalar = stream_record(estimand, variant, seed)
+    with monkeypatch.context() as patch:
+        for name, matrix_helper in MATRIX_PATH.items():
+            patch.setattr(crossfit, name, matrix_helper)
+        matrix = stream_record(estimand, variant, seed)
+    assert len(scalar) >= 10
+    assert scalar == matrix
+
+
+@pytest.mark.parametrize("variant", ["dml1", "dml2"])
+def test_d1_moments_never_call_linalg(variant, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called at d = 1")
+
+    for name in ("svd", "solve", "inv", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(44)
+    psi_a, psi_b = random_scores(rng, 300, 1)
+    fold_ids = np.arange(300) % 5
+    moments = ScoreMoments.centred(psi_a[:200], psi_b[:200], fold_ids[:200], 5, variant)
+    moments.add(psi_a[200:], psi_b[200:], fold_ids[200:])
+    fit = moments.solve(variant)
+    assert fit.n == 300 and fit.sigma_sq_hat > 0

@@ -329,6 +329,43 @@ class TestDumpLoad:
         with pytest.raises(ParameterError):
             load_model(text)
 
+    LOGISTIC = "seqdml-model v1\nkind = logistic\nintercept = 0.0\ncoef = 1.0\n"
+    NU = "seqdml-model v1\nkind = nu\nintercept = 0.0\ncoef = 1.0\n"
+
+    @pytest.mark.parametrize("text", [
+        "seqdml-model v1\nkind = ridge\nintercept = 0.0\ncoef = \n",
+        "seqdml-model v1\nkind = logistic\nintercept = 0.0\ncoef = \nclip = 0.01 0.99\n",
+        LOGISTIC + "clip = 0.01 0.99 0.7\n",
+        LOGISTIC + "clip = 0.9 0.1\n",
+        LOGISTIC + "clip = 0.5 0.5\n",
+        LOGISTIC + "clip = 0.0 0.99\n",
+        LOGISTIC + "clip = 0.01 1.0\n",
+        NU + "gamma = 1.5\nclip = 0.9 0.1\n",
+        NU + "gamma = nan\nclip = 0.01 0.99\n",
+        NU + "gamma = inf\nclip = 0.01 0.99\n",
+        NU + "gamma = 0.0\nclip = 0.01 0.99\n",
+    ], ids=["ridge-no-coef", "logistic-no-coef", "three-clip", "inverted-clip", "empty-clip",
+            "clip-at-zero", "clip-at-one", "nu-inverted-clip", "nu-nan-gamma", "nu-inf-gamma",
+            "nu-zero-gamma"])
+    def test_invalid_parameters_rejected(self, text):
+        with pytest.raises(ParameterError):
+            load_model(text)
+
+    @pytest.mark.parametrize("fit", [
+        lambda x, y: fit_ridge(x, y, LearnerSpec(kind="ridge")),
+        lambda x, y: fit_logistic(x, (y > 0).astype(float), LearnerSpec(kind="logistic")),
+    ], ids=["ridge", "logistic"])
+    def test_every_fitted_coef_model_round_trips(self, fit):
+        # A coef model needs a covariate, so dump_model never writes the
+        # empty coef that load_model rejects.
+        rng = np.random.default_rng(16)
+        x, y = rng.normal(size=(50, 1)), rng.normal(size=50)
+        with pytest.raises(ParameterError, match="at least one column"):
+            fit(np.empty((50, 0)), y)
+        model = fit(x, y)
+        restored = load_model(dump_model(model))
+        assert np.array_equal(model.predict(x), restored.predict(x))
+
     def test_header_required(self):
         with pytest.raises(ParameterError):
             load_model("kind = ridge\nintercept = 0.0\ncoef = 1.0\n")
