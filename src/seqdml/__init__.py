@@ -70,6 +70,7 @@ from .scores import (
 )
 from .sim import (
     BandResult,
+    Columns,
     CoverageResult,
     LateDgpParams,
     PartialIdDgpParams,

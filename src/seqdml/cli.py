@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -18,8 +19,10 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
+import numpy as np
+
 from .crossfit import identification_diagnostics
-from .engine import _TABLE, Stream, StreamConfig, StopRule
+from .engine import _TABLE, Stream, StreamConfig, StopRule, _binary
 from .errors import (
     EstimandError,
     IngestError,
@@ -27,7 +30,6 @@ from .errors import (
     ParameterError,
     SeqdmlError,
 )
-from .scores import Observation
 # Unused here; the benchmark's tracer wraps these names on this module.
 from .scores import aipw_score, gateaux_orthogonality_check  # noqa: F401
 from .scores import late_score, partial_id_score, plr_score  # noqa: F401
@@ -212,8 +214,55 @@ def _needs_z(estimand: str) -> bool:
     return estimand in _TABLE and _TABLE[estimand].needs_z
 
 
-def _read_observations(path: str, estimand: str) -> Iterator[Observation]:
-    """Yield one validated Observation per CSV row, in file order."""
+# At most this many rows are parsed at once, so memory does not grow with
+# the peek cadence.
+_BLOCK_ROWS = 4096
+
+
+def _row_values(row: list[str], lineno: int, n_cols: int, has_z: bool) -> list[float]:
+    """One row's cells as floats, in file order; the first problem with the
+    row, in the order field count, y and x numeric, a, z, x finite, y
+    finite, raises _DataFailure naming its line."""
+    if len(row) != n_cols:
+        raise _DataFailure(f"line {lineno}: expected {n_cols} fields, got {len(row)}")
+    try:
+        y = float(row[0])
+        x = [float(v) for v in (row[3:] if has_z else row[2:])]
+    except ValueError as exc:
+        raise _DataFailure(f"line {lineno}: {exc}")
+    a = _parse_binary(row[1], "a", lineno)
+    z = [_parse_binary(row[2], "z", lineno)] if has_z else []
+    if not all(math.isfinite(v) for v in x):
+        raise _DataFailure(f"line {lineno}: covariates must be finite")
+    if not math.isfinite(y):
+        raise _DataFailure(f"line {lineno}: outcome y must be finite, got {y}")
+    return [y, a, *z, *x]
+
+
+def _parse_block(rows: list[list[str]], n_cols: int, has_z: bool) -> np.ndarray | None:
+    """The rows' cells as a (rows, n_cols) float array when every row is
+    valid, else None: one vectorised check of what _row_values checks."""
+    if set(map(len, rows)) != {n_cols}:
+        return None
+    try:
+        values = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+    except ValueError:
+        return None
+    values = values.reshape(len(rows), n_cols)
+    if not (_binary(values[:, 1 : 3 if has_z else 2]).all() and np.isfinite(values).all()):
+        return None
+    return values
+
+
+def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
+    """Yield the CSV's rows in file order as ``(y, a, X, z)`` float columns
+    (z None without a 'z' column), a block at a time.
+
+    A block ends at the row count ``next_peek(rows read so far)`` when that
+    is given, and holds at most _BLOCK_ROWS rows. A block that fails the
+    vectorised check is parsed row by row, which reports the first bad row
+    with its line number.
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -228,23 +277,21 @@ def _read_observations(path: str, estimand: str) -> Iterator[Observation]:
         if _needs_z(estimand) and not has_z:
             raise EstimandError(f"the {estimand} estimand requires a 'z' column")
         n_cols = 2 + (1 if has_z else 0) + d
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_cols:
-                raise _DataFailure(
-                    f"line {lineno}: expected {n_cols} fields, got {len(row)}"
-                )
-            try:
-                y = float(row[0])
-                x = tuple(float(v) for v in (row[3:] if has_z else row[2:]))
-            except ValueError as exc:
-                raise _DataFailure(f"line {lineno}: {exc}")
-            a = _parse_binary(row[1], "a", lineno)
-            z = _parse_binary(row[2], "z", lineno) if has_z else None
-            try:
-                obs = Observation(y=y, a=a, x=x, z=z)
-            except ParameterError as exc:
-                raise _DataFailure(f"line {lineno}: {exc}")
-            yield obs
+        x_start = 3 if has_z else 2
+        n = 0
+        while True:
+            size = _BLOCK_ROWS if next_peek is None else min(next_peek(n) - n, _BLOCK_ROWS)
+            rows = list(itertools.islice(reader, size))
+            if not rows:
+                return
+            values = _parse_block(rows, n_cols, has_z)
+            if values is None:
+                values = np.array([
+                    _row_values(row, n + 2 + i, n_cols, has_z) for i, row in enumerate(rows)
+                ])
+            del rows  # the cells' strings are not needed past here
+            n += len(values)
+            yield values[:, 0], values[:, 1], values[:, x_start:], values[:, 2] if has_z else None
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +403,11 @@ def _cmd_monitor(opts: dict, stdout) -> int:
         if rule is not None:
             stream.check_stop(rule)
 
-    for obs in _read_observations(opts["input"], opts["estimand"]):
-        stream.push(obs)
+    def next_peek(n: int) -> int:
+        return burn_in if n < burn_in else n + cadence - (n - burn_in) % cadence
+
+    for columns in _read_blocks(opts["input"], opts["estimand"], next_peek):
+        stream.push_batch(*columns)
         if due(stream.n):
             peek()
     if stream.n >= burn_in and not due(stream.n):
@@ -383,17 +433,20 @@ def _cmd_monitor(opts: dict, stdout) -> int:
 
 
 def _cmd_diagnose(opts: dict, stdout) -> int:
-    observations = list(_read_observations(opts["input"], opts["estimand"]))
+    blocks = list(_read_blocks(opts["input"], opts["estimand"]))
     estimand = opts["estimand"]
-    n = len(observations)
+    n = sum(len(y) for y, _a, _X, _z in blocks)
     out = lambda text: stdout.write(text + "\n")
     out(f"diagnose: estimand={estimand} n={n}")
 
-    a_values = {obs.a for obs in observations}
-    if len(a_values) < 2:
+    def constant(column: int) -> bool:
+        values = np.concatenate([block[column] for block in blocks] or [np.empty(0)])
+        return values.size == 0 or values.min() == values.max()
+
+    if constant(1):
         out("identification: FAIL (treatment is constant; propensity degenerate)")
         return 0
-    if _needs_z(estimand) and len({obs.z for obs in observations}) < 2:
+    if _needs_z(estimand) and constant(3):
         out("identification: FAIL (instrument is constant)")
         return 0
 
@@ -406,7 +459,8 @@ def _cmd_diagnose(opts: dict, stdout) -> int:
         seed=opts["seed"],
     )
     stream = Stream(config)
-    stream.extend(observations)
+    for columns in blocks:
+        stream.push_batch(*columns)
     try:
         stream.peek()
     except NotReadyError as exc:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IdentificationError, ParameterError
+from .errors import DgpError, IdentificationError, ParameterError
 from .scores import LinearScore
 
 __all__ = [
@@ -170,13 +170,16 @@ def _exact_add(partials: list[float], values: list[float]) -> list[float]:
     however many values went in.
     """
     terms = partials + values
-    out = [math.fsum(terms)]
-    while math.isfinite(out[-1]):
-        terms.append(-out[-1])
-        rest = math.fsum(terms)
-        if rest == 0.0:
-            break
-        out.append(rest)
+    try:
+        out = [math.fsum(terms)]
+        while math.isfinite(out[-1]):
+            terms.append(-out[-1])
+            rest = math.fsum(terms)
+            if rest == 0.0:
+                break
+            out.append(rest)
+    except (OverflowError, ValueError) as exc:  # a finite sum overflows, or inf - inf
+        raise DgpError(f"a sum of scores overflows floating point ({exc})")
     return out
 
 
@@ -241,11 +244,16 @@ class ScoreMoments:
     def _second_moments(self, psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
         m = len(psi_a)
         psi_c = psi_a @ self.theta_c + psi_b
-        return np.hstack([
+        block = np.hstack([
             (psi_c[:, :, None] * psi_c[:, None, :]).reshape(m, -1),
             (psi_c[:, :, None, None] * psi_a[:, None, :, :]).reshape(m, -1),
             (psi_a[:, :, :, None, None] * psi_a[:, None, None, :, :]).reshape(m, -1),
         ])
+        if not np.isfinite(block).all():
+            raise DgpError(
+                "the score's second moments are not finite; the data overflow floating point"
+            )
+        return block
 
     def _fold_in(self, masks: list[np.ndarray], block: np.ndarray, start: int) -> None:
         """Add each fold's rows of ``block`` to the sums of columns start, start + 1, ..."""

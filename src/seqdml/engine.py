@@ -8,6 +8,7 @@ concurrently on the same stream. Independent streams share no state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -362,16 +363,23 @@ class _GrowArray:
     def __len__(self) -> int:
         return self._n
 
-    def append(self, row) -> None:
-        if self._n == self._buf.shape[0]:
-            new = np.empty((2 * self._n, self.columns))
-            new[: self._n] = self._buf
+    def extend(self, rows: int) -> np.ndarray:
+        """Grow the table by ``rows`` rows and return them for the caller to fill."""
+        end = self._n + rows
+        if end > self._buf.shape[0]:
+            new = np.empty((max(2 * self._buf.shape[0], end), self.columns))
+            new[: self._n] = self._buf[: self._n]
             self._buf = new
-        self._buf[self._n] = row
-        self._n += 1
+        block = self._buf[self._n : end]
+        self._n = end
+        return block
 
     def view(self) -> np.ndarray:
         return self._buf[: self._n]
+
+
+def _binary(values: np.ndarray) -> np.ndarray:
+    return (values == 0.0) | (values == 1.0)
 
 
 class Stream:
@@ -402,28 +410,82 @@ class Stream:
     def n(self) -> int:
         return 0 if self._rows is None else len(self._rows)
 
-    def push(self, obs: Observation) -> "Stream":
-        """Append one observation; no estimation. Its fold is its arrival
-        index modulo k_folds."""
-        if self._estimand.needs_z and obs.z is None:
+    def push_batch(self, y, a, X, z=None) -> "Stream":
+        """Append a block of rows; no estimation. Row i of the block gets
+        arrival index n + i, and its fold is that index modulo k_folds.
+
+        ``y``, ``a`` and ``z`` hold one value per row and ``X`` one row of
+        covariates per row; ``z=None`` means the rows have no instrument.
+        Treatment and instrument must be 0 or 1 and are stored as 0.0 or
+        1.0. The block is checked before any row is appended: a missing
+        instrument on an estimand that needs one, or a covariate dimension
+        other than the stream's, raises IngestError; a non-binary treatment
+        or instrument, a non-finite outcome or covariate, or no covariates
+        raises ParameterError naming the first bad row of the block,
+        counted from 0.
+        """
+        y = np.asarray(y, dtype=float)
+        a = np.asarray(a, dtype=float)
+        X = np.asarray(X, dtype=float)
+        z = None if z is None else np.asarray(z, dtype=float)
+        if (y.ndim != 1 or a.shape != y.shape or X.ndim != 2 or len(X) != len(y)
+                or (z is not None and z.shape != y.shape)):
+            raise ParameterError("y, a and z need one value and X one row per observation")
+        m = len(y)
+        if not m:
+            return self
+        if self._estimand.needs_z and z is None:
             raise IngestError(
                 f"the {self.config.estimand} estimand requires an instrument z on every row"
             )
-        if self._rows is None:
-            self._rows = _GrowArray(3 + len(obs.x))
-        elif len(obs.x) != self._rows.columns - 3:
+        d = X.shape[1]
+        if not d:
+            raise ParameterError("row 0: covariates x must have at least one entry")
+        if self._rows is not None and d != self._rows.columns - 3:
             raise IngestError(
-                f"covariate dimension changed from {self._rows.columns - 3} to {len(obs.x)}"
+                f"covariate dimension changed from {self._rows.columns - 3} to {d}"
             )
-        z = float(obs.z) if obs.z is not None else np.nan
-        self._rows.append((obs.y, float(obs.a), z, *obs.x))
+        ok = _binary(a) & np.isfinite(X).all(axis=1) & np.isfinite(y)
+        if z is not None:
+            ok &= _binary(z)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if not _binary(a[i]):
+                problem = f"treatment a must be 0 or 1, got {float(a[i])}"
+            elif z is not None and not _binary(z[i]):
+                problem = f"instrument z must be 0 or 1, got {float(z[i])}"
+            elif not np.isfinite(X[i]).all():
+                problem = "covariates must be finite"
+            else:
+                problem = f"outcome y must be finite, got {float(y[i])}"
+            raise ParameterError(f"row {i}: {problem}")
+        if self._rows is None:
+            self._rows = _GrowArray(3 + d)
+        block = self._rows.extend(m)
+        # Adding 0.0 turns a -0.0 into 0.0, so the sign of a zero cannot reach a score.
+        block[:, 0] = y
+        block[:, 1] = a + 0.0
+        block[:, 2] = np.nan if z is None else z + 0.0
+        block[:, 3:] = X
         if self.stopped_at is not None:
-            self.post_stop_pushes += 1
+            self.post_stop_pushes += m
         return self
 
+    def push(self, obs: Observation) -> "Stream":
+        """Append one observation, as a one-row ``push_batch``."""
+        z = None if obs.z is None else [obs.z]
+        return self.push_batch([obs.y], [obs.a], [obs.x], z)
+
     def extend(self, observations) -> "Stream":
-        for obs in observations:
-            self.push(obs)
+        """Append observations in order: one ``push_batch`` per run of rows
+        that agree on having an instrument and on the covariate dimension."""
+        runs = itertools.groupby(observations, key=lambda obs: (obs.z is None, len(obs.x)))
+        for (no_z, _d), run in runs:
+            run = list(run)
+            self.push_batch(
+                [obs.y for obs in run], [obs.a for obs in run], [obs.x for obs in run],
+                None if no_z else [obs.z for obs in run],
+            )
         return self
 
     # -- nuisance fitting ---------------------------------------------------
@@ -556,33 +618,50 @@ class Stream:
     def _solve(self, n: int, refit: bool) -> DmlFit:
         """Fold the rows scored since the last peek into the moments, then
         solve; after a refit, rescore every row, record the holdout RMSE
-        and rebuild the moments."""
+        and rebuild the moments. A score that is not finite, or moments
+        that overflow, raise DgpError and leave the moments to be rebuilt."""
         cfg = self.config
         start = 0 if self._moments is None else self._moments.n
         if start < n:
             keys = [nuis.key for nuis in self._estimand.nuisances]
             preds, clip_events = self._predictions(start, n, keys)
-            if refit:
-                self._record_holdout_rmse(n, preds)
             cols = self._columns(slice(start, n))
             psi_a, psi_b = self._estimand.score(
                 cols["y"], cols["a"], cols["z"], preds, self._loss_weights()
             )
-            fold_ids = np.arange(start, n) % cfg.k_folds
-            if self._moments is None:
-                self.clip_events = clip_events  # every row is rescored by the new models
-                self._moments = ScoreMoments.centred(
-                    psi_a, psi_b, fold_ids, cfg.k_folds, cfg.dml_variant
+            finite = np.isfinite(psi_a) & np.isfinite(psi_b)
+            if not finite.all():
+                raise DgpError(
+                    f"row {start + int(np.argmin(finite))}: the score is not finite; "
+                    "the data overflow floating point"
                 )
-            else:
-                self.clip_events += clip_events
-                self._moments.add(psi_a, psi_b, fold_ids)
+            if refit:
+                self._record_holdout_rmse(n, preds)
+            fold_ids = np.arange(start, n) % cfg.k_folds
+            try:
+                if self._moments is None:
+                    self.clip_events = clip_events  # every row is rescored by the new models
+                    self._moments = ScoreMoments.centred(
+                        psi_a, psi_b, fold_ids, cfg.k_folds, cfg.dml_variant
+                    )
+                else:
+                    self.clip_events += clip_events
+                    self._moments.add(psi_a, psi_b, fold_ids)
+            except DgpError:
+                self._moments = None  # an overflow can leave some sums updated
+                raise
         return self._moments.solve(cfg.dml_variant)
 
     # -- peeking ------------------------------------------------------------
 
     def peek(self) -> CsPoint:
-        """Refresh nuisances per schedule, solve, and emit one CsPoint."""
+        """Refresh nuisances per schedule, solve, and emit one CsPoint.
+
+        The point's estimate, standard error and bounds are finite, or the
+        peek raises DgpError and records nothing. Data large enough to
+        overflow floating point is caught by these checks, so NumPy's
+        overflow warnings are off while the peek computes.
+        """
         cfg = self.config
         n = self.n
         if n < cfg.burn_in:
@@ -591,20 +670,28 @@ class Stream:
             return self.peek_log[-1]
         # burn_in >= k_folds, so every fold already holds a row.
         refit = self._fold_models is None or n >= self._next_refit
-        if refit:
-            self._refit(n)
-        fit = self._solve(n, refit)
-        sigma_sq = float(fit.sigma_sq_hat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if refit:
+                self._refit(n)
+            fit = self._solve(n, refit)
+        theta, sigma_sq = float(fit.theta_hat), float(fit.sigma_sq_hat)
+        if not (math.isfinite(theta) and math.isfinite(sigma_sq)):
+            raise DgpError(
+                f"the estimate {theta} or its variance {sigma_sq} at n={n} is not finite"
+            )
         if self.rho is None and not sigma_sq > 0:
             # rho cannot be tuned to a zero variance; a later peek may see some.
             raise NotReadyError("variance estimate is zero, so rho cannot be tuned yet; peek deferred")
-        self.last_fit = fit
-        if self.rho is None:
-            self.rho = tune_rho(cfg.alpha, n, sigma_sq)
+        rho = self.rho if self.rho is not None else tune_rho(cfg.alpha, n, sigma_sq)
+        if not 0.0 < rho < math.inf:
+            raise DgpError(f"rho cannot be tuned to the variance {sigma_sq} at n={n}")
         sigma_hat = math.sqrt(sigma_sq)
-        radius = scalar_radius(n, MixtureParams(self.rho, cfg.alpha, 1), sigma_hat)
-        theta = float(fit.theta_hat)
+        radius = scalar_radius(n, MixtureParams(rho, cfg.alpha, 1), sigma_hat)
         raw = Interval(theta - radius, theta + radius)
+        if not (math.isfinite(raw.lower) and math.isfinite(raw.upper)):
+            raise DgpError(f"the confidence bounds at n={n} are not finite")
+        self.rho = rho
+        self.last_fit = fit
         last = self.peek_log[-1] if self.peek_log else None
         seen = None if last is None else Interval(last.lower_int, last.upper_int)
         running = intersect_step(seen, raw)

@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import norm
@@ -20,9 +21,9 @@ from scipy.stats import norm
 from .engine import BandPoint, CsPoint, Stream, StreamConfig, pate_band
 from .errors import NotReadyError, ParameterError
 from .nuisance import LearnerSpec
-from .scores import Observation
 
 __all__ = [
+    "Columns",
     "PartialIdDgpParams",
     "LateDgpParams",
     "PartialIdOracle",
@@ -137,9 +138,25 @@ class LateOracle:
         return self.a1 > self.a0
 
 
+class Columns(NamedTuple):
+    """Rows of a simulated stream as float columns: outcome, treatment (0.0
+    or 1.0), covariates with one row per observation, and the instrument
+    (0.0 or 1.0) or None. ``Stream.push_batch(*columns)`` appends them."""
+
+    y: np.ndarray
+    a: np.ndarray
+    X: np.ndarray
+    z: np.ndarray | None = None
+
+    def rows(self, start: int, stop: int) -> "Columns":
+        """Rows start..stop-1, as views."""
+        z = None if self.z is None else self.z[start:stop]
+        return Columns(self.y[start:stop], self.a[start:stop], self.X[start:stop], z)
+
+
 def gen_partial_id(
     n: int, params: PartialIdDgpParams, seed=None
-) -> tuple[list[Observation], PartialIdOracle]:
+) -> tuple[Columns, PartialIdOracle]:
     """Draw n observations with unmeasured confounding of strength gamma_data.
 
     Assignment depends on the latent U only through 1(U > 0), so the implied
@@ -158,15 +175,15 @@ def gen_partial_id(
     y1 = y0 + params.tau
     logits = params.alpha0 + X @ mu + math.log(params.gamma_data) * (u > 0)
     p_treat = 1.0 / (1.0 + np.exp(-logits))
-    a = (rng.uniform(size=n) < p_treat).astype(int)
-    y = np.where(a == 1, y1, y0)
-    obs = [Observation(y=float(y[i]), a=int(a[i]), x=tuple(X[i])) for i in range(n)]
-    return obs, PartialIdOracle(tau=params.tau, gamma_data=params.gamma_data, y0=y0, y1=y1, u=u)
+    a = (rng.uniform(size=n) < p_treat).astype(float)
+    y = np.where(a == 1.0, y1, y0)
+    oracle = PartialIdOracle(tau=params.tau, gamma_data=params.gamma_data, y0=y0, y1=y1, u=u)
+    return Columns(y, a, X), oracle
 
 
 def gen_late(
     n: int, params: LateDgpParams, seed=None
-) -> tuple[list[Observation], LateOracle]:
+) -> tuple[Columns, LateOracle]:
     """Draw n observations from the randomized-instrument noncompliance design.
 
     A = 1(alpha_z Z + U > 0) with alpha_z > 0, so A(1) >= A(0) for every unit
@@ -178,16 +195,12 @@ def gen_late(
     beta = np.asarray(params.beta)
     X = rng.standard_normal((n, params.d))
     u = rng.standard_normal(n) * np.abs(0.5 + np.sin(X[:, 0]))
-    z = (rng.uniform(size=n) < params.p_instrument).astype(int)
-    a = (params.alpha_z * z + u > 0).astype(int)
+    z = (rng.uniform(size=n) < params.p_instrument).astype(float)
+    a = (params.alpha_z * z + u > 0).astype(float)
     y = params.theta * a + np.cos(u) * (X @ beta + u)
     a0 = (u > 0).astype(int)
     a1 = (params.alpha_z + u > 0).astype(int)
-    obs = [
-        Observation(y=float(y[i]), a=int(a[i]), x=tuple(X[i]), z=int(z[i]))
-        for i in range(n)
-    ]
-    return obs, LateOracle(theta=params.theta, a0=a0, a1=a1)
+    return Columns(y, a, X, z), LateOracle(theta=params.theta, a0=a0, a1=a1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +318,12 @@ def run_coverage(
 
     for rep in range(reps):
         if dgp == "late":
-            observations, _ = gen_late(n_max, params, seed=[seed, 1 + rep])
+            columns, _ = gen_late(n_max, params, seed=[seed, 1 + rep])
         else:
-            observations, _ = gen_partial_id(n_max, params, seed=[seed, 1 + rep])
+            columns, _ = gen_partial_id(n_max, params, seed=[seed, 1 + rep])
         stream = Stream(StreamConfig(estimand=estimand, alpha=alpha, burn_in=burn_in, seed=seed))
         for j, n in enumerate(grid):
-            stream.extend(observations[stream.n:n])
+            stream.push_batch(*columns.rows(stream.n, n))
             try:
                 stream.peek()
             except NotReadyError:
@@ -387,7 +400,7 @@ def run_pate_band(
     params = dgp_params or PartialIdDgpParams.from_seed(seed)
     if gamma is None:
         gamma = params.gamma_data
-    observations, _ = gen_partial_id(n_max, params, seed=[seed, 1])
+    columns, _ = gen_partial_id(n_max, params, seed=[seed, 1])
 
     def config(estimand: str) -> StreamConfig:
         return StreamConfig(
@@ -404,8 +417,8 @@ def run_pate_band(
     upper_stream = Stream(config("pate_upper"))
     points: list[BandPoint] = []
     for n in grid:
-        lower_stream.extend(observations[lower_stream.n:n])
-        upper_stream.extend(observations[upper_stream.n:n])
+        lower_stream.push_batch(*columns.rows(lower_stream.n, n))
+        upper_stream.push_batch(*columns.rows(upper_stream.n, n))
         try:
             lower_stream.peek()
             upper_stream.peek()

@@ -141,12 +141,12 @@ class TestSimulate:
 
 
 def write_partial_id_csv(path, n=400, seed=9):
-    rows = gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
+    columns = gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["y", "a"] + [f"x{j + 1}" for j in range(len(rows[0].x))])
-        for obs in rows:
-            writer.writerow([repr(obs.y), obs.a] + [repr(v) for v in obs.x])
+        writer.writerow(["y", "a"] + [f"x{j + 1}" for j in range(columns.X.shape[1])])
+        for y, a, x in zip(columns.y.tolist(), columns.a.tolist(), columns.X.tolist()):
+            writer.writerow([repr(y), int(a)] + [repr(v) for v in x])
     return path
 
 

@@ -146,13 +146,13 @@ class TestPeek:
 
     def test_late_stream_covers_truth_single_run(self):
         params = LateDgpParams.from_seed(7)
-        observations, _ = gen_late(3000, params, seed=[7, 1])
+        columns, _ = gen_late(3000, params, seed=[7, 1])
         stream = Stream(StreamConfig(estimand="late", burn_in=500, seed=7))
-        for i, obs in enumerate(observations):
-            stream.push(obs)
-            if (i + 1) % 500 == 0:
-                point = stream.peek()
-                assert point.lower_int <= params.theta <= point.upper_int
+        for n in range(500, 3001, 500):
+            stream.push_batch(*columns.rows(stream.n, n))
+            point = stream.peek()
+            assert point.lower_int <= params.theta <= point.upper_int
+        assert len(stream.peek_log) == 6
 
     def test_rho_frozen_after_first_peek(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=4))
@@ -199,12 +199,11 @@ class TestPeek:
 
     def test_intersected_bounds_nested(self):
         params = LateDgpParams.from_seed(9)
-        observations, _ = gen_late(2000, params, seed=[9, 1])
+        columns, _ = gen_late(2000, params, seed=[9, 1])
         stream = Stream(StreamConfig(estimand="late", burn_in=250, seed=9))
-        for i, obs in enumerate(observations):
-            stream.push(obs)
-            if (i + 1) % 250 == 0:
-                stream.peek()
+        for n in range(250, 2001, 250):
+            stream.push_batch(*columns.rows(stream.n, n))
+            stream.peek()
         log = stream.peek_log
         for prev, cur in zip(log, log[1:]):
             assert cur.lower_int >= prev.lower_int
@@ -213,14 +212,13 @@ class TestPeek:
 
     def test_rerun_same_seed_bit_identical(self):
         params = LateDgpParams.from_seed(10)
-        observations, _ = gen_late(1500, params, seed=[10, 1])
+        columns, _ = gen_late(1500, params, seed=[10, 1])
 
         def run():
             stream = Stream(StreamConfig(estimand="late", burn_in=300, seed=10))
-            for i, obs in enumerate(observations):
-                stream.push(obs)
-                if (i + 1) % 300 == 0:
-                    stream.peek()
+            for n in range(300, 1501, 300):
+                stream.push_batch(*columns.rows(stream.n, n))
+                stream.peek()
             return stream.peek_log
 
         assert run() == run()
@@ -356,7 +354,7 @@ class TestNdjson:
 
 def pate_streams(n, gamma, seed, n_rounds=40):
     params = PartialIdDgpParams.from_seed(seed)
-    observations, _ = gen_partial_id(n, params, seed=[seed, 1])
+    columns, _ = gen_partial_id(n, params, seed=[seed, 1])
     spec = LearnerSpec(kind="gbt", n_rounds=n_rounds)
 
     def build(estimand):
@@ -367,9 +365,8 @@ def pate_streams(n, gamma, seed, n_rounds=40):
         )
 
     lower, upper = build("pate_lower"), build("pate_upper")
-    for obs in observations:
-        lower.push(obs)
-        upper.push(obs)
+    lower.push_batch(*columns)
+    upper.push_batch(*columns)
     return lower, upper, params
 
 
@@ -431,18 +428,31 @@ def oracle_score(estimand, gamma):
     return {"ate": aipw_score, "plr": plr_score, "late": late_score}[estimand]
 
 
-def fitted_stream(estimand, gamma, n=300, seed=23, epsilon=0.01):
+def generated_columns(estimand, n, seed):
     if estimand == "late":
-        observations = gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
-    else:
-        observations = gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
+        return gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
+    return gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
+
+
+def observations_of(columns):
+    """The rows of generated columns as Observations, for per-row oracles."""
+    z = [None] * len(columns.y) if columns.z is None else [int(v) for v in columns.z]
+    return [
+        Observation(y=y, a=int(a), x=tuple(x), z=zi)
+        for y, a, x, zi in zip(columns.y.tolist(), columns.a.tolist(), columns.X.tolist(), z)
+    ]
+
+
+def fitted_stream(estimand, gamma, n=300, seed=23, epsilon=0.01):
+    """A peeked stream fed generated columns, and its rows as Observations."""
+    columns = generated_columns(estimand, n, seed)
     config = StreamConfig(
         estimand=estimand, burn_in=100, gamma=gamma, epsilon=epsilon, seed=seed,
         gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
     )
-    stream = Stream(config).extend(observations)
+    stream = Stream(config).push_batch(*columns)
     stream.peek()
-    return stream, observations
+    return stream, observations_of(columns)
 
 
 class TestOrthogonalityDerivatives:
@@ -503,14 +513,14 @@ def poisoned_stream():
     return stream
 
 
-def oracle_holdout_rmse(stream, observations, n):
+def oracle_holdout_rmse(stream, columns, n):
     """The earlier holdout RMSE loop, which predicted each fold's holdout
     subset with that fold's models at the refit."""
-    X = np.array([obs.x for obs in observations[:n]])
+    X = columns.X[:n]
     cols = {
-        "y": np.array([obs.y for obs in observations[:n]]),
-        "a": np.array([float(obs.a) for obs in observations[:n]]),
-        "z": np.array([np.nan if obs.z is None else float(obs.z) for obs in observations[:n]]),
+        "y": columns.y[:n],
+        "a": columns.a[:n],
+        "z": np.full(n, np.nan) if columns.z is None else columns.z[:n],
     }
     fold_ids = stream.plan.assignments(n)
     sums = {}
@@ -533,22 +543,19 @@ class TestOnePredictionPass:
     @pytest.mark.parametrize("estimand", ["ate", "plr", "late", "pate_lower", "pate_upper"])
     def test_holdout_rmse_matches_the_per_subset_oracle(self, estimand):
         seed = 31
-        if estimand == "late":
-            observations = gen_late(900, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
-        else:
-            observations = gen_partial_id(900, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
+        columns = generated_columns(estimand, 900, seed)
         stream = Stream(StreamConfig(
             estimand=estimand, burn_in=100, gamma=1.5, seed=seed,
             gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
         ))
         refits = []
         for n in range(100, 901, 100):
-            stream.extend(observations[stream.n:n])
+            stream.push_batch(*columns.rows(stream.n, n))
             before = sum(map(len, stream.holdout_rmse.values()))
             stream.peek()
             if sum(map(len, stream.holdout_rmse.values())) > before:
                 refits.append(n)
-                want = oracle_holdout_rmse(stream, observations, n)
+                want = oracle_holdout_rmse(stream, columns, n)
                 got = {key: values[-1] for key, values in stream.holdout_rmse.items()}
                 assert set(got) == set(want)
                 for key, value in want.items():

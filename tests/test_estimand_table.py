@@ -40,7 +40,7 @@ REL = 1e-9
 FEW_ROUNDS = LearnerSpec(kind="gbt", n_rounds=10)
 
 
-def observations(estimand: str, n: int, seed: int):
+def generated_columns(estimand: str, n: int, seed: int):
     if estimand == "late":
         return gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
     return gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
@@ -59,13 +59,13 @@ def stream_outputs(estimand: str) -> dict:
     )
     stream = Stream(config)
     deferred = []
-    for i, obs in enumerate(observations(estimand, 400, seed=21)):
-        stream.push(obs)
-        if (i + 1) >= 100 and (i + 1) % 50 == 0:
-            try:
-                stream.peek()
-            except NotReadyError:
-                deferred.append(i + 1)
+    columns = generated_columns(estimand, 400, seed=21)
+    for n in range(100, 401, 50):
+        stream.push_batch(*columns.rows(stream.n, n))
+        try:
+            stream.peek()
+        except NotReadyError:
+            deferred.append(n)
     return {
         "peek_log": [p.to_record() for p in stream.peek_log],
         "deferred": deferred,
@@ -80,15 +80,15 @@ def stream_outputs(estimand: str) -> dict:
 
 def diagnose_stdout(estimand: str, directory: Path) -> str:
     path = directory / f"{estimand}.csv"
-    rows = observations(estimand, 300, seed=22)
+    columns = generated_columns(estimand, 300, seed=22)
     has_z = estimand == "late"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        d = len(rows[0].x)
+        d = columns.X.shape[1]
         writer.writerow(["y", "a"] + (["z"] if has_z else []) + [f"x{j + 1}" for j in range(d)])
-        for obs in rows:
-            z = [obs.z] if has_z else []
-            writer.writerow([repr(obs.y), obs.a] + z + [repr(v) for v in obs.x])
+        for i, (y, a, x) in enumerate(zip(columns.y.tolist(), columns.a.tolist(), columns.X.tolist())):
+            z = [int(columns.z[i])] if has_z else []
+            writer.writerow([repr(y), int(a)] + z + [repr(v) for v in x])
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = main(["diagnose", "--input", str(path), "--estimand", estimand, "--gamma", "1.5"])

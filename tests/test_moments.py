@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from seqdml import (
+    Columns,
     LateDgpParams,
     LearnerSpec,
-    Observation,
     PartialIdDgpParams,
     Stream,
     StreamConfig,
@@ -242,22 +242,20 @@ class ScoreLog:
                 np.concatenate(self.fold_ids))
 
 
-def observations(estimand, n, seed):
+def generated_columns(estimand, n, seed):
     if estimand == "late":
         return gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
     return gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
 
 
-def check_every_peek(stream, rows, peek_every, log):
+def check_every_peek(stream, columns, peek_every, log):
     """Peek every peek_every rows; each peek must match the oracle re-solve
     of all the scores the stream has folded in. Returns the peek kinds."""
     cfg = stream.config
     kinds = []
-    for i, obs in enumerate(rows):
-        stream.push(obs)
-        n = i + 1
-        if n < cfg.burn_in or n % peek_every:
-            continue
+    first = -(-cfg.burn_in // peek_every) * peek_every
+    for n in range(first, len(columns.y) + 1, peek_every):
+        stream.push_batch(*columns.rows(stream.n, n))
         before = len(log.calls)
         try:
             stream.peek()
@@ -281,7 +279,7 @@ def test_every_peek_matches_oracle(estimand, monkeypatch):
         estimand=estimand, burn_in=100, gamma=1.5, seed=5,
         outcome_spec=FEW_ROUNDS if estimand == "plr" else None, gamma_spec=FEW_ROUNDS,
     )
-    kinds = check_every_peek(Stream(config), observations(estimand, 450, seed=21), 25, log)
+    kinds = check_every_peek(Stream(config), generated_columns(estimand, 450, seed=21), 25, log)
     # Refits at 100, 200 and 400; light peeks in between.
     assert kinds.count("centred") == 3
     assert kinds.count("add") == len(kinds) - 3
@@ -290,7 +288,7 @@ def test_every_peek_matches_oracle(estimand, monkeypatch):
 def test_every_peek_matches_oracle_dml1(monkeypatch):
     log = ScoreLog(monkeypatch)
     config = StreamConfig(estimand="late", burn_in=100, seed=6, dml_variant="dml1")
-    kinds = check_every_peek(Stream(config), observations("late", 450, seed=22), 30, log)
+    kinds = check_every_peek(Stream(config), generated_columns("late", 450, seed=22), 30, log)
     assert "centred" in kinds and "add" in kinds
 
 
@@ -304,9 +302,8 @@ def test_high_cancellation_stream(monkeypatch):
     x = rng.normal(size=(n, 2))
     a = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-0.5 * x[:, 0]))).astype(int)
     y = 1e5 * a + x[:, 1] + rng.normal(size=n)
-    rows = [Observation(y=float(y[i]), a=int(a[i]), x=tuple(x[i])) for i in range(n)]
     stream = Stream(StreamConfig(estimand="ate", burn_in=150, seed=23))
-    kinds = check_every_peek(stream, rows, 50, log)
+    kinds = check_every_peek(stream, Columns(y, a, x), 50, log)
     assert "add" in kinds
     psi_b = np.concatenate(log.psi_b)
     assert abs(psi_b.mean()) >= 1e4 * psi_b.std()
@@ -366,17 +363,17 @@ def test_fold_sums_independent_of_blocks():
 def test_peek_folds_in_only_new_rows(monkeypatch):
     log = ScoreLog(monkeypatch)
     stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=26))
-    rows = observations("ate", 460, seed=26)
-    stream.extend(rows[:100])
+    rows = generated_columns("ate", 460, seed=26)
+    stream.push_batch(*rows.rows(0, 100))
     stream.peek()  # refit at 100
-    stream.extend(rows[100:137])
+    stream.push_batch(*rows.rows(100, 137))
     stream.peek()  # light
     stream.peek()  # no new rows: the recorded point, nothing folded in
-    stream.extend(rows[137:150])
+    stream.push_batch(*rows.rows(137, 150))
     stream.peek()  # light
-    stream.extend(rows[150:230])
+    stream.push_batch(*rows.rows(150, 230))
     stream.peek()  # refit at 200 rescores all 230 rows
-    stream.extend(rows[230:231])
+    stream.push_batch(*rows.rows(230, 231))
     stream.peek()  # light, one row
     assert log.calls == [("centred", 100), ("add", 37), ("add", 13), ("centred", 230), ("add", 1)]
 
@@ -514,9 +511,9 @@ def stream_record(estimand, variant, seed):
         outcome_spec=FEW_ROUNDS if estimand == "plr" else None, gamma_spec=FEW_ROUNDS,
     )
     stream, record = Stream(config), []
-    rows = observations(estimand, 425, seed=seed)
+    rows = generated_columns(estimand, 425, seed=seed)
     for n in range(100, 426, 25):
-        stream.extend(rows[stream.n:n])
+        stream.push_batch(*rows.rows(stream.n, n))
         try:
             point = stream.peek()
         except NotReadyError:

@@ -40,9 +40,10 @@ class TestPartialIdDgp:
 
     def test_fixed_seed_reproducible(self):
         params = PartialIdDgpParams.from_seed(4)
-        obs1, orc1 = gen_partial_id(200, params, seed=5)
-        obs2, orc2 = gen_partial_id(200, params, seed=5)
-        assert obs1 == obs2
+        cols1, orc1 = gen_partial_id(200, params, seed=5)
+        cols2, orc2 = gen_partial_id(200, params, seed=5)
+        assert cols1.z is None and cols2.z is None
+        assert all(np.array_equal(c1, c2) for c1, c2 in zip(cols1[:3], cols2[:3]))
         assert np.array_equal(orc1.u, orc2.u)
 
     def test_tau_shift(self):
@@ -69,13 +70,13 @@ class TestLateDgp:
 
     def test_instrument_frequency(self):
         params = LateDgpParams.from_seed(3)
-        obs, _ = gen_late(10_000, params, seed=4)
-        z_mean = np.mean([o.z for o in obs])
+        columns, _ = gen_late(10_000, params, seed=4)
+        z_mean = np.mean(columns.z)
         assert 0.37 <= z_mean <= 0.43
 
     def test_constant_effect_on_compliers(self):
         params = LateDgpParams.from_seed(5)
-        obs, oracle = gen_late(5000, params, seed=6)
+        _, oracle = gen_late(5000, params, seed=6)
         # the effect is theta for every unit, so in particular for compliers
         assert oracle.complier.mean() > 0.1
         assert params.theta == 3.0
@@ -166,15 +167,15 @@ def per_row_coverage(dgp, estimand, reps, n_max, peek_every, seed, burn_in,
     width_cs, width_batch = np.zeros(shape), np.zeros(shape)
     for rep in range(reps):
         gen = gen_late if dgp == "late" else gen_partial_id
-        observations, _ = gen(n_max, params, seed=[seed, 1 + rep])
+        columns, _ = gen(n_max, params, seed=[seed, 1 + rep])
         stream = Stream(StreamConfig(estimand=estimand, alpha=alpha, k_folds=5,
                                      burn_in=burn_in, gamma=1.0, seed=seed))
         grid_set = set(grid)
         cum_batch = 0.0
         prev_cs, prev_wcs, prev_wb = 0.0, math.nan, math.nan
         j = 0
-        for i, obs in enumerate(observations):
-            stream.push(obs)
+        for i in range(n_max):
+            stream.push_batch(*columns.rows(i, i + 1))
             if (i + 1) in grid_set:
                 try:
                     point = stream.peek()
