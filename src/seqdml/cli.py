@@ -270,28 +270,34 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path} is empty; a header row is required")
-        has_z, d = _validate_header(header)
-        if _needs_z(estimand) and not has_z:
-            raise EstimandError(f"the {estimand} estimand requires a 'z' column")
-        n_cols = 2 + (1 if has_z else 0) + d
-        x_start = 3 if has_z else 2
-        n = 0
-        while True:
-            size = _BLOCK_ROWS if next_peek is None else min(next_peek(n) - n, _BLOCK_ROWS)
-            rows = list(itertools.islice(reader, size))
-            if not rows:
-                return
-            values = _parse_block(rows, n_cols, has_z)
-            if values is None:
-                values = np.array([
-                    _row_values(row, n + 2 + i, n_cols, has_z) for i, row in enumerate(rows)
-                ])
-            del rows  # the cells' strings are not needed past here
-            n += len(values)
-            yield values[:, 0], values[:, 1], values[:, x_start:], values[:, 2] if has_z else None
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IngestError(f"{path} is empty; a header row is required")
+            has_z, d = _validate_header(header)
+            if _needs_z(estimand) and not has_z:
+                raise EstimandError(f"the {estimand} estimand requires a 'z' column")
+            n_cols = 2 + (1 if has_z else 0) + d
+            x_start = 3 if has_z else 2
+            n = 0
+            while True:
+                size = _BLOCK_ROWS if next_peek is None else min(next_peek(n) - n, _BLOCK_ROWS)
+                rows = list(itertools.islice(reader, size))
+                if not rows:
+                    return
+                values = _parse_block(rows, n_cols, has_z)
+                if values is None:
+                    values = np.array([
+                        _row_values(row, n + 2 + i, n_cols, has_z) for i, row in enumerate(rows)
+                    ])
+                del rows  # the cells' strings are not needed past here
+                n += len(values)
+                yield values[:, 0], values[:, 1], values[:, x_start:], values[:, 2] if has_z else None
+        except UnicodeDecodeError as exc:
+            raise _DataFailure(
+                f"{path} is not {exc.encoding} text: byte 0x{exc.object[exc.start]:02x} "
+                f"cannot be decoded ({exc.reason})"
+            ) from None
 
 
 # ---------------------------------------------------------------------------

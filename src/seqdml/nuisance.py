@@ -282,6 +282,12 @@ def minimize_gamma_constant(values, gamma_weight: float, tol: float = 1e-9) -> f
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent floats further apart than tol (above
+            # 2**23 at tol = 1e-9), or their sum overflows: the interval
+            # cannot shrink. A step that would end the loop instead collapses
+            # it onto this same midpoint.
+            return mid
         if deriv(mid) < 0.0:
             lo = mid
         else:
@@ -337,8 +343,8 @@ def fit_ridge(X, y, spec: LearnerSpec) -> RidgeModel:
     return RidgeModel(intercept=y_mean - float(x_mean @ coef), coef=coef)
 
 
-def _logistic_objective(design, y, beta, lam):
-    eta = design @ beta
+def _logistic_objective(eta, y, beta, lam):
+    """The penalized objective at beta, given its linear predictor eta."""
     nll = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
     return nll + lam * float(beta[1:] @ beta[1:])
 
@@ -357,39 +363,45 @@ def fit_logistic(X, y, spec: LearnerSpec) -> LogisticModel:
         raise FitError("fit_logistic: empty training data")
     if X.shape[1] == 0:
         raise ParameterError("fit_logistic: covariates need at least one column")
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ParameterError("fit_logistic labels must be 0 or 1")
     n, d = X.shape
     design = np.column_stack([np.ones(n), X])
     lam = spec.logistic_lambda
+    penalty = 2.0 * lam * np.eye(d)
+    jitter = 1e-12 * np.eye(d + 1)
+    # The linear predictor and objective of the current iterate: the line
+    # search computes both for the trial it accepts, so each is computed once.
     beta = np.zeros(d + 1)
+    eta = design @ beta
+    obj = _logistic_objective(eta, y, beta, lam)
     for _ in range(100):
-        eta = design @ beta
         p = expit(eta)
         grad = design.T @ (p - y) / n
         grad[1:] += 2.0 * lam * beta[1:]
-        if float(np.linalg.norm(grad)) <= 1e-8:
+        if math.sqrt(float(grad @ grad)) <= 1e-8:  # np.linalg.norm of a 1-d array
             break
         w = p * (1.0 - p)
         hess = (design * w[:, None]).T @ design / n
-        hess[1:, 1:] += 2.0 * lam * np.eye(d)
-        hess += 1e-12 * np.eye(d + 1)
+        hess[1:, 1:] += penalty
+        hess += jitter
         step = np.linalg.solve(hess, grad)
-        obj = _logistic_objective(design, y, beta, lam)
+        # Backtracking; after 60 halvings the last trial is taken anyway.
         t = 1.0
-        cand = beta - step
         for _ in range(60):
             cand = beta - t * step
-            if _logistic_objective(design, y, cand, lam) <= obj:
+            cand_eta = design @ cand
+            cand_obj = _logistic_objective(cand_eta, y, cand, lam)
+            if cand_obj <= obj:
                 break
             t *= 0.5
-        beta = cand
+        beta, eta, obj = cand, cand_eta, cand_obj
         if lam == 0.0 and float(np.linalg.norm(beta)) > 1e8:
             raise FitError(
                 "fit_logistic: diverging coefficients (complete separation?); "
                 "set logistic_lambda > 0"
             )
-    if lam == 0.0 and _logistic_objective(design, y, beta, 0.0) < 1e-6:
+    if lam == 0.0 and obj < 1e-6:
         # Zero training loss means the classes are completely separated and
         # the unpenalized maximizer does not exist.
         raise FitError(
@@ -470,7 +482,13 @@ class _Bins:
                 continue
             # Python floats on purpose: float ** 2 rounds differently from
             # NumPy's x * x in rare cases, and the gains must not change.
-            gain = sc - st**2 / total_n
+            # NumPy's squares above overflow to inf; Python's raise.
+            try:
+                if sc == np.inf:
+                    raise OverflowError
+                gain = sc - st**2 / total_n
+            except OverflowError:
+                raise FitError("fit_gbt: a split gain overflows floating point") from None
             if gain > best_gain + 1e-12:
                 best, best_gain = (j, int(best_b[j])), gain
         return best

@@ -271,6 +271,34 @@ class TestMonitor:
         assert all("estimate" in r for r in records)  # no summary line
         assert not (out_dir / "peeks.ndjson").exists()
 
+    @pytest.mark.parametrize("command", ["monitor", "diagnose"])
+    def test_undecodable_input_is_a_data_failure(self, tmp_path, capsys, command):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"y,a,x1\n1.0,1,0.5\n\xff\xfe2.0,0,0.1\n")
+        code, out, err = run_cli([command, "--input", str(data), "--estimand", "ate"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"seqdml: failure: {data} is not ") and err.count("\n") == 1
+        assert "byte 0xff cannot be decoded" in err
+
+    def test_records_before_undecodable_bytes_are_written(self, tmp_path, capsys):
+        data = write_ate_csv(tmp_path / "data.csv", n=400, seed=8)
+        argv = ["monitor", "--input", str(data), "--estimand", "ate",
+                "--burn-in", "100", "--peek-every", "100"]
+        code, clean, _ = run_cli(argv, capsys)
+        assert code == 0
+        lines = data.read_bytes().splitlines(keepends=True)
+        lines[301] = b"\xff\xfe" + lines[301]  # file line 302, data row 301
+        data.write_bytes(b"".join(lines))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("seqdml: failure:") and err.count("\n") == 1
+        # The file is decoded a chunk at a time, so the failure can come a
+        # block before the bad row's; the records written are those before it.
+        records = out.splitlines()
+        assert 1 <= len(records) <= 3
+        assert records == clean.splitlines()[:len(records)]
+
     def test_option_errors_come_before_data_errors(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("y,a,x1\n1.0,1,0.5\n2.0,oops,0.1\n")

@@ -1,6 +1,8 @@
 """Finite but extreme outcomes: every peek records finite numbers or raises
 DgpError, and ``seqdml monitor`` exits 1 with a one-line failure, never a
-traceback, a usage error, or the non-JSON ``NaN``/``Infinity`` tokens."""
+traceback, a usage error, or the non-JSON ``NaN``/``Infinity`` tokens. The
+partial-identification bounds may also end in a FitError from their
+nuisance fits."""
 
 import csv
 import json
@@ -11,18 +13,19 @@ import pytest
 from seqdml import Stream, StreamConfig
 from seqdml.cli import main
 from seqdml.crossfit import _exact_add
-from seqdml.errors import DgpError, NotReadyError
+from seqdml.errors import DgpError, FitError, NotReadyError
 
 N, BURN_IN, EVERY = 400, 100, 100
 
 
-def extreme_columns(scale: float, spikes=()):
-    """A 400-row ATE sample with outcomes multiplied by ``scale`` and the
-    outcomes of some rows replaced: ``spikes`` holds (row, value) pairs."""
+def extreme_columns(scale: float, spikes=(), offset=0.0):
+    """A 400-row ATE sample with outcomes multiplied by ``scale``, then
+    shifted by ``offset``, and the outcomes of some rows replaced:
+    ``spikes`` holds (row, value) pairs."""
     rng = np.random.default_rng(5)
     X = rng.standard_normal((N, 2))
     a = (rng.uniform(size=N) < 0.5).astype(float)
-    y = (1.0 + X[:, 0] + a + rng.standard_normal(N)) * scale
+    y = (1.0 + X[:, 0] + a + rng.standard_normal(N)) * scale + offset
     for row, value in spikes:
         y[row] = value
     return y, a, X
@@ -39,10 +42,10 @@ INPUTS = {
 }
 
 
-def library_path(columns, estimand, rho):
-    """Peek at the CLI's cadence: the points recorded, and the DgpError
-    that ended the run, if one did."""
-    stream = Stream(StreamConfig(estimand=estimand, burn_in=BURN_IN, rho=rho))
+def library_path(columns, estimand, rho, gamma=1.0, errors=(DgpError,)):
+    """Peek at the CLI's cadence: the points recorded, and the error (one of
+    ``errors``) that ended the run, if one did."""
+    stream = Stream(StreamConfig(estimand=estimand, burn_in=BURN_IN, rho=rho, gamma=gamma))
     y, a, X = columns
     for n in range(BURN_IN, N + 1, EVERY):
         stream.push_batch(y[stream.n:n], a[stream.n:n], X[stream.n:n])
@@ -50,9 +53,24 @@ def library_path(columns, estimand, rho):
             stream.peek()
         except NotReadyError:
             continue
-        except DgpError as exc:
+        except errors as exc:
             return stream.peek_log, exc
     return stream.peek_log, None
+
+
+def monitor(columns, tmp_path, capsys, *options):
+    """``seqdml monitor`` on the columns written as a CSV: the exit code, the
+    stdout records as dicts, and stderr."""
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "a", "x1", "x2"])
+        for y, a, x in zip(columns[0].tolist(), columns[1].tolist(), columns[2].tolist()):
+            writer.writerow([repr(y), int(a)] + [repr(v) for v in x])
+    code = main(["monitor", "--input", str(path), "--burn-in", str(BURN_IN),
+                 "--peek-every", str(EVERY), *options])
+    out, err = capsys.readouterr()
+    return code, [strict_json(line) for line in out.splitlines()], err
 
 
 def strict_json(line: str) -> dict:
@@ -67,20 +85,11 @@ def strict_json(line: str) -> dict:
 @pytest.mark.parametrize("name", list(INPUTS))
 def test_monitor_fails_cleanly(name, estimand, rho, tmp_path, capsys):
     columns = INPUTS[name]
-    path = tmp_path / "data.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "a", "x1", "x2"])
-        for y, a, x in zip(columns[0].tolist(), columns[1].tolist(), columns[2].tolist()):
-            writer.writerow([repr(y), int(a)] + [repr(v) for v in x])
-    argv = ["monitor", "--input", str(path), "--estimand", estimand,
-            "--burn-in", str(BURN_IN), "--peek-every", str(EVERY)]
-    code = main(argv + ([] if rho is None else ["--rho", str(rho)]))
-    out, err = capsys.readouterr()
+    options = ["--estimand", estimand] + ([] if rho is None else ["--rho", str(rho)])
+    code, records, err = monitor(columns, tmp_path, capsys, *options)
     points, error = library_path(columns, estimand, rho)
     if name != "near 1e153":
         assert error is not None
-    records = [strict_json(line) for line in out.splitlines()]
     if error is None:
         assert code == 0 and err == ""
         records = records[:-1]  # the summary
@@ -88,6 +97,28 @@ def test_monitor_fails_cleanly(name, estimand, rho, tmp_path, capsys):
         assert code == 1
         assert err == f"seqdml: failure: {error}\n"
     assert "Traceback" not in err
+    assert records == [p.to_record() for p in points]
+    for point in points:
+        assert all(np.isfinite([point.theta_hat, point.sigma_hat, point.lower, point.upper]))
+
+
+@pytest.mark.parametrize("estimand", ["pate_lower", "pate_upper"])
+@pytest.mark.parametrize("name", ["near 1e154", "offset by 1e7"])
+def test_bounds_end_cleanly(name, estimand, tmp_path, capsys, bisection_guard):
+    # Above 2**23 adjacent floats are further apart than the tolerance of the
+    # bisection for the asymmetric loss's constant; near 1e154 a split gain
+    # overflows Python's float power.
+    columns = INPUTS["near 1e154"] if name == "near 1e154" else extreme_columns(1.0, offset=1e7)
+    code, records, err = monitor(columns, tmp_path, capsys, "--estimand", estimand, "--gamma", "1.5")
+    points, error = library_path(columns, estimand, None, gamma=1.5, errors=(DgpError, FitError))
+    assert "Traceback" not in err
+    if name == "near 1e154":
+        assert code == 1 and error is not None
+        assert err == f"seqdml: failure: {error}\n"
+    else:
+        assert code == 0 and err == "" and error is None
+        assert len(points) == 4
+        records = records[:-1]  # the summary
     assert records == [p.to_record() for p in points]
     for point in points:
         assert all(np.isfinite([point.theta_hat, point.sigma_hat, point.lower, point.upper]))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from seqdml import (
     GammaRegressionLoss,
@@ -25,6 +26,7 @@ from seqdml.nuisance import (
     _bin_edges,
     _Bins,
     _gamma_constant_closed_form,
+    _logistic_objective,
     _PREDICT_BLOCK,
     _Tree,
 )
@@ -127,6 +129,144 @@ class TestFitLogistic:
         assert preds[1] == pytest.approx(0.95)
 
 
+def oracle_fit_logistic(X, y, spec, trials=None):
+    """The damped Newton fit as written before it carried each iterate's
+    linear predictor and objective forward: it recomputes both at the top of
+    every iteration. Appends one entry to ``trials`` per line-search trial."""
+
+    def objective(design, y, beta, lam):
+        eta = design @ beta
+        nll = float(np.mean(np.logaddexp(0.0, eta) - y * eta))
+        return nll + lam * float(beta[1:] @ beta[1:])
+
+    X = np.asarray(X, dtype=float).reshape(len(X), -1)
+    y = np.asarray(y, dtype=float)
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ParameterError("fit_logistic labels must be 0 or 1")
+    n, d = X.shape
+    design = np.column_stack([np.ones(n), X])
+    lam = spec.logistic_lambda
+    beta = np.zeros(d + 1)
+    for _ in range(100):
+        eta = design @ beta
+        p = expit(eta)
+        grad = design.T @ (p - y) / n
+        grad[1:] += 2.0 * lam * beta[1:]
+        if float(np.linalg.norm(grad)) <= 1e-8:
+            break
+        w = p * (1.0 - p)
+        hess = (design * w[:, None]).T @ design / n
+        hess[1:, 1:] += 2.0 * lam * np.eye(d)
+        hess += 1e-12 * np.eye(d + 1)
+        step = np.linalg.solve(hess, grad)
+        obj = objective(design, y, beta, lam)
+        t = 1.0
+        for _ in range(60):
+            cand = beta - t * step
+            if trials is not None:
+                trials.append(t)
+            if objective(design, y, cand, lam) <= obj:
+                break
+            t *= 0.5
+        beta = cand
+        if lam == 0.0 and float(np.linalg.norm(beta)) > 1e8:
+            raise FitError(
+                "fit_logistic: diverging coefficients (complete separation?); "
+                "set logistic_lambda > 0"
+            )
+    if lam == 0.0 and objective(design, y, beta, 0.0) < 1e-6:
+        raise FitError(
+            "fit_logistic: complete separation (training loss is zero); "
+            "set logistic_lambda > 0"
+        )
+    clip = (spec.clip, 1.0 - spec.clip)
+    return LogisticModel(intercept=float(beta[0]), coef=beta[1:], clip=clip)
+
+
+def logistic_corpus(count, seed=2024):
+    """Seeded (X, labels, y, spec) cases: sizes 5-3 000, 1-6 covariates,
+    every penalty from none to strong, rounded and rescaled covariates,
+    separable labels, and continuous outcomes y for nu fits."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.choice([5, 8, 20, 50, 200, 1000, 3000]))
+        d = int(rng.integers(1, 7))
+        lam = float(rng.choice([0.0, 1e-4, 1e-2, 1.0]))
+        X = rng.standard_normal((n, d)) * float(rng.choice([1.0, 1e-3, 1e3]))
+        if i % 4 == 1:
+            X = np.round(X, 1)
+        logits = X @ rng.standard_normal(d) * float(rng.choice([0.5, 3.0, 30.0]))
+        labels = (rng.uniform(size=n) < 0.5 * (1.0 + np.tanh(0.5 * logits))).astype(float)
+        if i % 4 == 2:
+            labels = (X[:, 0] > 0).astype(float)
+        y = X[:, 0] + rng.standard_normal(n)
+        yield X, labels, y, LearnerSpec(kind="logistic", logistic_lambda=lam)
+
+
+def fit_outcome(fit, *args):
+    """dump_model text of the fit, or its error's type and message."""
+    try:
+        return dump_model(fit(*args))
+    except Exception as exc:  # the error is the outcome compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestFitLogisticMatchesOracle:
+    def test_models_and_errors_bit_identical(self):
+        outcomes = []
+        for X, labels, _, spec in logistic_corpus(400):
+            got = fit_outcome(fit_logistic, X, labels, spec)
+            assert got == fit_outcome(oracle_fit_logistic, X, labels, spec)
+            outcomes.append(got)
+        assert sum(o.startswith("FitError: fit_logistic: complete separation") for o in outcomes) >= 10
+        assert sum(o.startswith("seqdml-model") for o in outcomes) >= 300
+
+    def test_nu_fits_bit_identical(self):
+        def oracle_nu(X, y, g1, gamma, spec):
+            labels = (y >= g1.predict(X)).astype(float)
+            return NuModel(prob_model=oracle_fit_logistic(X, labels, spec), gamma=gamma)
+
+        for X, _, y, spec in logistic_corpus(100, seed=7):
+            g1 = fit_ridge(X, y, LearnerSpec(kind="ridge"))
+            got = fit_outcome(fit_nu, X, y, g1, 1.5, spec)
+            assert got == fit_outcome(oracle_nu, X, y, g1, 1.5, spec)
+
+    def test_separation_without_penalty_bit_identical(self):
+        rng = np.random.default_rng(31)
+        spec = LearnerSpec(kind="logistic", logistic_lambda=0.0)
+        for n in (6, 40, 500):
+            X = rng.standard_normal((n, 2))
+            for labels in ((X[:, 0] > 0), (X[:, 0] + 1e-3 * X[:, 1] > 0.1), np.ones(n)):
+                labels = labels.astype(float)
+                got = fit_outcome(fit_logistic, X, labels, spec)
+                assert got == fit_outcome(oracle_fit_logistic, X, labels, spec)
+                assert got.startswith("FitError")
+
+    def test_labels_accepted_alike(self):
+        spec = LearnerSpec(kind="logistic")
+        X = np.linspace(-1.0, 1.0, 4)
+        for labels in ([0.0, 1.0, -0.0, 1.0], [0.0, 1.0, 0.5, 1.0], [0.0, 1.0, np.nan, 1.0],
+                       [0.0, 1.0, np.inf, 0.0], [True, False, True, False]):
+            assert (fit_outcome(fit_logistic, X, np.array(labels), spec)
+                    == fit_outcome(oracle_fit_logistic, X, np.array(labels), spec))
+
+    def test_one_objective_evaluation_per_trial(self, monkeypatch):
+        # Each Newton iterate's objective is the one its line search already
+        # computed; only the starting point's is computed on its own.
+        calls = []
+        monkeypatch.setattr("seqdml.nuisance._logistic_objective",
+                            lambda *args: calls.append(1) or _logistic_objective(*args))
+        fits = 0
+        for X, labels, _, spec in logistic_corpus(60, seed=5):
+            calls.clear()
+            trials = []
+            want = fit_outcome(oracle_fit_logistic, X, labels, spec, trials)
+            assert fit_outcome(fit_logistic, X, labels, spec) == want
+            assert len(calls) == len(trials) + 1
+            fits += len(trials) > 1
+        assert fits >= 30
+
+
 class TestFitGbt:
     def test_step_function_training_fit(self):
         x = np.repeat(np.linspace(-1, 1, 50), 4)
@@ -192,6 +332,24 @@ def brute_force_gamma_constant(values, gamma, lo=None, hi=None):
     return float(grid[int(np.argmin(totals))])
 
 
+def capped_old_bisection(values, gamma_weight, tol=1e-9, cap=1_100):
+    """minimize_gamma_constant's bisection as it was before it stopped at
+    adjacent floats, or None where that loop would never end. Each step that
+    moves an endpoint halves hi - lo < 2**1024, so a loop that ends does so
+    within 1 100 steps at tol = 1e-9."""
+    values = np.asarray(values, dtype=float)
+    lo, hi = float(values.min()), float(values.max())
+    for _ in range(cap):
+        if not hi - lo > tol:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        if float(np.sum(gamma_loss_terms(values, mid, gamma_weight)[1])) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return None
+
+
 class TestGammaConstant:
     def test_two_point_fixture(self):
         assert minimize_gamma_constant(np.array([0.0, 2.0]), 3.0) == pytest.approx(0.5, abs=1e-8)
@@ -215,6 +373,32 @@ class TestGammaConstant:
             want = brute_force_gamma_constant(y, gamma)
             assert got == pytest.approx(want, abs=2e-3)
 
+    def test_ends_where_adjacent_floats_are_wider_than_tol(self, bisection_guard):
+        # Above 2**23 the float spacing exceeds tol = 1e-9, so the midpoint
+        # of two adjacent floats is one of them.
+        values = np.array([2e7, 2e7 + 3.0, 2e7 + 7.0])
+        got = minimize_gamma_constant(values, 1.5)
+        assert got == pytest.approx(_gamma_constant_closed_form(values, 1.5), abs=1e-7)
+        assert capped_old_bisection(values, 1.5) is None
+
+    def test_matches_the_old_loop_wherever_it_ended(self, bisection_guard):
+        rng = np.random.default_rng(17)
+        ended = spun = 0
+        for offset in (0.0, 1e3, 1e6, 2.0**23 - 4.0, 2.0**23, 1e7, -3e7, 1e12, 1e15):
+            for spread in (1e-9, 1e-6, 1e-3, 1.0, 1e3):
+                for _ in range(6):
+                    values = offset + spread * rng.standard_normal(int(rng.integers(1, 40)))
+                    gamma = float(rng.choice([1.0, 1.5, 1 / 1.5, 7.0]))
+                    got = minimize_gamma_constant(values, gamma)
+                    want = capped_old_bisection(values, gamma)
+                    if want is None:
+                        spun += 1
+                        assert values.min() <= got <= values.max()
+                    else:
+                        ended += 1
+                        assert got == want
+        assert ended >= 150 and spun >= 50
+
     def test_closed_form_matches_bisection(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
@@ -231,6 +415,14 @@ class TestFitG1Gamma:
         model = fit_g1_gamma(np.array([0.0, 1.0]), np.array([0.0, 2.0]), 3.0, spec)
         assert model.init_value == pytest.approx(0.5, abs=1e-8)
         assert np.all(np.abs(model.predict(np.array([0.0, 1.0])) - 0.5) < 1e-8)
+
+    def test_outcomes_offset_by_1e7(self, bisection_guard):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(300, 2))
+        y = 1e7 + rng.normal(size=300)
+        model = fit_g1_gamma(x, y, 1.5, LearnerSpec(kind="gbt", n_rounds=20))
+        assert abs(model.init_value - 1e7) < 3.0
+        assert np.all(np.abs(model.predict(x) - 1e7) < 5.0)
 
     def test_gamma_one_close_to_ridge_on_linear_dgp(self):
         rng = np.random.default_rng(11)
@@ -564,6 +756,20 @@ class TestFastGbtMatchesOracle:
                 sums[j, b:] = 0.0
             want = [float(sums[j, :b].sum()) if b > 1 else 0.0 for j, b in enumerate(n_bins)]
             assert bins.totals(sums).tolist() == want
+
+    @pytest.mark.parametrize("left, right", [
+        # The halves' sums square to inf in NumPy; the total's square is 0.
+        (1e153, -1e153),
+        # The halves' squares are finite; the total's Python square raises.
+        (2e152, 2e152),
+    ])
+    def test_split_gain_overflow_raises(self, left, right):
+        X = np.repeat([0.0, 1.0], 50)[:, None]
+        target = np.repeat([left, right], 50)
+        bins = _Bins(X, 255)
+        # A stream's peek computes with NumPy's overflow warnings off.
+        with np.errstate(over="ignore"), pytest.raises(FitError, match="split gain overflows"):
+            bins.best_split(target, np.arange(100), 1)
 
     def test_too_few_covariates_rejected(self):
         X, y, spec = _fixture("mixed")
