@@ -81,6 +81,14 @@ def _as_2d(X) -> np.ndarray:
     return X
 
 
+def _training_data(X, y, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Covariates as 2-d and the outcome as a float vector with one entry per row."""
+    X, y = _as_2d(X), np.asarray(y, dtype=float)
+    if y.shape != X.shape[:1]:
+        raise ParameterError(f"{name}: y has shape {y.shape} but X has {X.shape[0]} rows")
+    return X, y
+
+
 # ---------------------------------------------------------------------------
 # Fitted models
 # ---------------------------------------------------------------------------
@@ -230,6 +238,7 @@ class BoostLoss(Protocol):
     def mean_loss(self, y: np.ndarray, f: np.ndarray) -> float: ...
     def gradient(self, y: np.ndarray, f: np.ndarray) -> np.ndarray: ...
     def leaf_value(self, y: np.ndarray, f: np.ndarray) -> float: ...
+    def residual_leaf(self, resid: np.ndarray, rows: np.ndarray) -> float: ...
 
 
 class SquaredLoss:
@@ -243,7 +252,10 @@ class SquaredLoss:
         return 2.0 * (f - y)
 
     def leaf_value(self, y, f):
-        return float(np.mean(y - f))
+        return self.residual_leaf(np.asarray(y) - np.asarray(f), slice(None))
+
+    def residual_leaf(self, resid, rows):
+        return float(np.mean(resid[rows]))
 
 
 class GammaRegressionLoss:
@@ -260,11 +272,15 @@ class GammaRegressionLoss:
         return float(np.mean(value))
 
     def gradient(self, y, f):
-        _, d_df = gamma_loss_terms(y, f, self.gamma)
-        return d_df
+        # gamma_loss_terms's -2 pos + 2 gamma neg, without the loss values.
+        resid = np.asarray(y) - f
+        return np.where(resid > 0.0, -2.0, -2.0 * self.gamma) * resid
 
     def leaf_value(self, y, f):
         return _gamma_constant_closed_form(np.asarray(y) - np.asarray(f), self.gamma)
+
+    def residual_leaf(self, resid, rows):
+        return _gamma_constant_closed_form(resid, self.gamma, rows)
 
 
 def minimize_gamma_constant(values, gamma_weight: float, tol: float = 1e-9) -> float:
@@ -295,22 +311,27 @@ def minimize_gamma_constant(values, gamma_weight: float, tol: float = 1e-9) -> f
     return 0.5 * (lo + hi)
 
 
-def _gamma_constant_closed_form(residuals: np.ndarray, gamma_weight: float) -> float:
-    """Exact minimizer of sum (r-c)_+^2 + gamma (r-c)_-^2 via sorted prefix sums."""
-    r = np.sort(np.asarray(residuals, dtype=float))
+def _gamma_constant_closed_form(residuals, gamma_weight: float, rows=slice(None)) -> float:
+    """Exact minimizer of sum (r-c)_+^2 + gamma (r-c)_-^2 over residuals[rows]
+    via sorted prefix sums."""
+    r = np.asarray(residuals, dtype=float)[rows]
     n = r.size
     if n == 0:
         return 0.0
-    prefix = np.concatenate(([0.0], np.cumsum(r)))
-    total = prefix[-1]
+    # [-inf, r sorted, inf]: candidate j must lie between entries j and j + 1.
+    bounds = np.empty(n + 2)
+    bounds[0], bounds[1:-1], bounds[-1] = -np.inf, r, np.inf
+    bounds.sort()
+    r = bounds[1:-1]
+    prefix = np.zeros(n + 1)
+    total = np.add.accumulate(r, out=prefix[1:])[-1]  # np.cumsum, with less overhead
     j = np.arange(n + 1, dtype=float)
     candidates = ((total - prefix) + gamma_weight * prefix) / ((n - j) + gamma_weight * j)
-    lows = np.concatenate(([-np.inf], r))
-    highs = np.concatenate((r, [np.inf]))
-    valid = np.nonzero((candidates >= lows - 1e-12) & (candidates <= highs + 1e-12))[0]
-    if valid.size == 0:  # numerical corner; fall back to bisection
+    valid = (candidates >= bounds[:-1] - 1e-12) & (candidates <= bounds[1:] + 1e-12)
+    k = int(valid.argmax())
+    if not valid[k]:  # numerical corner; fall back to bisection
         return minimize_gamma_constant(r, gamma_weight)
-    return float(candidates[valid[0]])
+    return float(candidates[k])
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +344,7 @@ def fit_ridge(X, y, spec: LearnerSpec) -> RidgeModel:
     Fit on centered data so the intercept is unpenalized; with lambda > 0 the
     normal equations are always solvable.
     """
-    X = _as_2d(X)
-    y = np.asarray(y, dtype=float)
+    X, y = _training_data(X, y, "fit_ridge")
     if X.shape[0] == 0:
         raise FitError("fit_ridge: empty training data")
     if X.shape[1] == 0:
@@ -357,8 +377,7 @@ def fit_logistic(X, y, spec: LearnerSpec) -> LogisticModel:
     [clip, 1 - clip]. With lambda = 0, complete separation is reported as a
     fit error advising a positive penalty.
     """
-    X = _as_2d(X)
-    y = np.asarray(y, dtype=float)
+    X, y = _training_data(X, y, "fit_logistic")
     if X.shape[0] == 0:
         raise FitError("fit_logistic: empty training data")
     if X.shape[1] == 0:
@@ -385,7 +404,10 @@ def fit_logistic(X, y, spec: LearnerSpec) -> LogisticModel:
         hess = (design * w[:, None]).T @ design / n
         hess[1:, 1:] += penalty
         hess += jitter
-        step = np.linalg.solve(hess, grad)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            raise FitError("fit_logistic: singular Hessian; set logistic_lambda > 0") from None
         # Backtracking; after 60 halvings the last trial is taken anyway.
         t = 1.0
         for _ in range(60):
@@ -432,17 +454,24 @@ class _Bins:
         self.stride = int(n_bins.max())
         codes = np.stack([np.searchsorted(e, X[:, j], side="left") for j, e in enumerate(self.edges)])
         self.keys = codes + (np.arange(self.d) * self.stride)[:, None]
+        self.root_keys = self.keys.ravel()
         # NumPy's pairwise sum depends on the length summed, so each feature's
         # total is taken over exactly its own bins, one group per bin count.
         self.groups = [(np.nonzero(n_bins == b)[0], b) for b in np.unique(n_bins) if b >= 2]
-        self.root_n_left = self._n_left(self.keys)
+        self.uniform = bool((n_bins == self.stride).all())
+        self.root_counts = self._counts(self.root_keys, self.n)
+        self.weights = np.empty(self.d * self.n)
 
-    def _n_left(self, keys: np.ndarray) -> np.ndarray:
-        counts = np.bincount(keys.ravel(), minlength=self.d * self.stride)
-        return counts.reshape(self.d, self.stride).cumsum(axis=1)[:, :-1]
+    def _counts(self, keys: np.ndarray, total_n: int):
+        """Rows left of each split, and the left and right counts floored at 1 as floats."""
+        counts = np.bincount(keys, minlength=self.d * self.stride)
+        n_left = counts.reshape(self.d, self.stride).cumsum(axis=1)
+        return n_left, np.maximum(n_left, 1.0), np.maximum(total_n - n_left, 1.0)
 
     def totals(self, sums: np.ndarray) -> np.ndarray:
         """Per-feature sum of a (d, stride) histogram over the feature's own bins."""
+        if self.uniform:
+            return sums.sum(axis=1)
         out = np.zeros(self.d)
         for feats, bins in self.groups:
             out[feats] = sums[feats, :bins].sum(axis=1)
@@ -456,25 +485,23 @@ class _Bins:
         if not self.groups:
             return None
         total_n = rows.size
+        weights = self.weights[: self.d * total_n]
         if total_n == self.n:  # the root: every row, counts fixed for the fit
-            keys, n_left, t = self.keys, self.root_n_left, target
+            keys, (n_left, left_floor, right_floor) = self.root_keys, self.root_counts
+            weights.reshape(self.d, total_n)[:] = target
         else:
-            keys, t = self.keys.take(rows, axis=1), target[rows]
-            n_left = self._n_left(keys)
-        weights = t[None, :].repeat(self.d, 0).ravel()
-        sums = np.bincount(keys.ravel(), weights, self.d * self.stride).reshape(self.d, self.stride)
+            keys = self.keys.take(rows, axis=1).ravel()
+            weights.reshape(self.d, total_n)[:] = target[rows]
+            n_left, left_floor, right_floor = self._counts(keys, total_n)
+        sums = np.bincount(keys, weights, self.d * self.stride).reshape(self.d, self.stride)
         s_total = self.totals(sums)
-        s_left = sums.cumsum(axis=1)[:, :-1]
+        # Split b sends bins 0..b left. From each feature's last bin on,
+        # n_left == total_n, so `ok` excludes those positions along with the
+        # splits that leave a leaf too small; whole rows stay contiguous.
+        s_left = sums.cumsum(axis=1)
         s_right = s_total[:, None] - s_left
-        n_right = total_n - n_left
-        # Positions past a feature's last bin have n_right == 0, so `ok`
-        # excludes them along with the splits that leave a leaf too small.
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        score = np.where(
-            ok,
-            s_left**2 / np.maximum(n_left, 1) + s_right**2 / np.maximum(n_right, 1),
-            -np.inf,
-        )
+        ok = (n_left >= min_leaf) & (n_left <= total_n - min_leaf)
+        score = np.where(ok, s_left**2 / left_floor + s_right**2 / right_floor, -np.inf)
         best_b = score.argmax(axis=1)
         best, best_gain = None, 0.0
         for j, (sc, st) in enumerate(zip(score.max(axis=1).tolist(), s_total.tolist())):
@@ -494,63 +521,61 @@ class _Bins:
         return best
 
 
-def _build_tree(bins: _Bins, target, y, f, loss, spec, lr):
-    """Grow one depth-limited tree on the negative-gradient target.
-
-    Nodes are numbered in depth-first preorder. Leaf values re-solve the
-    actual loss over the leaf's rows, and the training predictions f are
-    updated in place by lr * value, so the training loss cannot increase.
-    """
-    nodes: list[list] = []  # feature, threshold, left, right, value
-
-    def build(rows: np.ndarray, depth: int) -> int:
-        nid = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, 0.0])
-        split = None
-        if depth < spec.max_depth and rows.size >= 2 * spec.min_leaf:
-            split = bins.best_split(target, rows, spec.min_leaf)
-        if split is None:
-            leaf = loss.leaf_value(y[rows], f[rows])
-            nodes[nid][4] = leaf
-            f[rows] += lr * leaf
-            return nid
-        j, b = split
-        mask = bins.keys[j, rows] <= j * bins.stride + b
-        nodes[nid][:2] = j, float(bins.edges[j][b])
-        nodes[nid][2] = build(rows[mask], depth + 1)
-        nodes[nid][3] = build(rows[~mask], depth + 1)
-        return nid
-
-    build(np.arange(bins.n), 0)
-    return _Tree.from_nodes(nodes)
-
-
 def fit_gbt(X, y, loss: BoostLoss, spec: LearnerSpec) -> GbtModel:
     """Gradient boosting with depth-limited regression trees and a pluggable loss.
 
     Each round fits a tree to the negative gradient (squared-error splits on
-    binned features) and solves each leaf's constant against the actual loss.
+    binned features) and solves each leaf's constant against the actual loss
+    over the round's residuals y - f, so the training loss cannot increase.
     A zero learning rate leaves the model at the loss-minimizing constant.
     """
-    X = _as_2d(X)
-    y = np.asarray(y, dtype=float)
+    X, y = _training_data(X, y, "fit_gbt")
     if X.shape[0] == 0:
         raise FitError("fit_gbt: empty training data")
     init = float(loss.init_value(y))
     if not math.isfinite(init):
         raise FitError("fit_gbt: non-finite initialization constant")
     f = np.full(X.shape[0], init)
-    trees: list[_Tree] = []
     lr = spec.learning_rate
+    # Every tree's (feature, threshold, left, right, value) rows in depth-first
+    # preorder, tree after tree; links count from the tree's start.
+    nodes, starts = [], []
     if lr > 0.0 and spec.n_rounds > 0:
         bins = _Bins(X, spec.max_bins)
+        all_rows, step = np.arange(bins.n), np.empty_like(f)
         for _ in range(spec.n_rounds):
+            # The split search squares every sum, so the gradient splits the
+            # rows exactly as the negative gradient would.
             grad = np.asarray(loss.gradient(y, f), dtype=float)
             if not np.isfinite(grad).all():
                 raise FitError("fit_gbt: non-finite gradient during boosting")
-            trees.append(_build_tree(bins, -grad, y, f, loss, spec, lr))
+            resid = y - f
+            starts.append(len(nodes))
+            # (rows, depth, parent row, its link slot); the left child pops first.
+            stack = [(all_rows, 0, None, 0)]
+            while stack:
+                rows, depth, parent, slot = stack.pop()
+                if parent is not None:
+                    parent[slot] = len(nodes) - starts[-1]
+                node = [-1, 0.0, -1, -1, 0.0]
+                nodes.append(node)
+                split = None
+                if depth < spec.max_depth and rows.size >= 2 * spec.min_leaf:
+                    split = bins.best_split(grad, rows, spec.min_leaf)
+                if split is None:
+                    node[4] = loss.residual_leaf(resid, rows)
+                    step[rows] = lr * node[4]
+                    continue
+                j, b = split
+                mask = bins.keys[j].take(rows) <= j * bins.stride + b
+                node[:2] = j, float(bins.edges[j][b])
+                stack += [(rows[~mask], depth + 1, node, 3), (rows[mask], depth + 1, node, 2)]
+            f += step
             if not np.isfinite(f).all():
                 raise FitError("fit_gbt: non-finite predictions during boosting")
+    table = vars(_Tree.from_nodes(nodes)).values() if nodes else ()
+    bounds = zip(starts, starts[1:] + [len(nodes)])
+    trees = [_Tree(*(column[s:e] for column in table)) for s, e in bounds]
     return GbtModel(init_value=init, learning_rate=lr, trees=trees)
 
 
@@ -567,8 +592,7 @@ def fit_nu(
     X, y, g1_model: FittedNuisance, gamma: "GammaParam | float", spec: LearnerSpec
 ) -> NuModel:
     """Estimate nu(x) = P(y >= g1(x) | x) + gamma P(y < g1(x) | x) on one arm's rows."""
-    X = _as_2d(X)
-    y = np.asarray(y, dtype=float)
+    X, y = _training_data(X, y, "fit_nu")
     labels = (y >= g1_model.predict(X)).astype(float)
     return NuModel(prob_model=fit_logistic(X, labels, spec), gamma=_gamma_weight(gamma))
 

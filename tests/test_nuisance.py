@@ -119,6 +119,20 @@ class TestFitLogistic:
             fit_logistic(np.array([0.0, 1.0]), np.array([0.5, 1.0]),
                          LearnerSpec(kind="logistic"))
 
+    def test_singular_hessian_without_penalty(self):
+        # Five rows, six large covariates and no penalty: the Newton system
+        # is often exactly singular, which is a fit error, not a LinAlgError.
+        rng = np.random.default_rng(0)
+        spec = LearnerSpec(kind="logistic", logistic_lambda=0.0)
+        singular = 0
+        for _ in range(192):
+            X = rng.standard_normal((5, 6)) * 1e3
+            labels = np.array([0.0, 1.0, 0.0, 1.0, 1.0])[rng.permutation(5)]
+            with pytest.raises(FitError, match="logistic_lambda") as err:
+                fit_logistic(X, labels, spec)
+            singular += "singular" in str(err.value)
+        assert singular >= 20
+
     def test_clip_range_respected(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=300)
@@ -472,6 +486,22 @@ class TestFitNu:
         assert np.all(nu <= 1.0)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda X, y: fit_ridge(X, y, LearnerSpec(kind="ridge")),
+    lambda X, y: fit_logistic(X, (y > 0).astype(float), LearnerSpec(kind="logistic")),
+    lambda X, y: fit_gbt(X, y, SquaredLoss(), LearnerSpec(kind="gbt", n_rounds=2)),
+    lambda X, y: fit_g1_gamma(X, y, 1.5, LearnerSpec(kind="gbt", n_rounds=2)),
+    lambda X, y: fit_nu(X, y, fit_ridge(X, X[:, 0], LearnerSpec()), 1.5,
+                        LearnerSpec(kind="logistic")),
+], ids=["ridge", "logistic", "gbt", "g1_gamma", "nu"])
+@pytest.mark.parametrize("n_y", [29, 31])
+def test_outcome_length_must_match_rows(fit, n_y):
+    rng = np.random.default_rng(n_y)
+    X, y = rng.standard_normal((30, 2)), rng.standard_normal(n_y)
+    with pytest.raises(ParameterError, match=rf"y has shape \({n_y},\) but X has 30 rows"):
+        fit(X, y)
+
+
 class TestDumpLoad:
     def test_round_trip_all_kinds(self):
         rng = np.random.default_rng(15)
@@ -776,3 +806,259 @@ class TestFastGbtMatchesOracle:
         model = fit_gbt(X, y, SquaredLoss(), spec)
         with pytest.raises(ParameterError):
             model.predict(X[:, :2])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the depth-first growth as it was before each round read one
+# residual vector, the split search kept per-fit constants and the node
+# tables were built once per fit. The fit must match it in dump_model text,
+# or in its error's type and message.
+# ---------------------------------------------------------------------------
+
+class PriorBins:
+    """The split search with a per-node weight repeat and count floors."""
+
+    def __init__(self, X, max_bins):
+        self.n, self.d = X.shape
+        self.edges = [_bin_edges(X[:, j], max_bins) for j in range(self.d)]
+        n_bins = np.array([e.size + 1 for e in self.edges])
+        self.stride = int(n_bins.max())
+        codes = np.stack([np.searchsorted(e, X[:, j], side="left") for j, e in enumerate(self.edges)])
+        self.keys = codes + (np.arange(self.d) * self.stride)[:, None]
+        self.groups = [(np.nonzero(n_bins == b)[0], b) for b in np.unique(n_bins) if b >= 2]
+        self.root_n_left = self._n_left(self.keys)
+
+    def _n_left(self, keys):
+        counts = np.bincount(keys.ravel(), minlength=self.d * self.stride)
+        return counts.reshape(self.d, self.stride).cumsum(axis=1)[:, :-1]
+
+    def totals(self, sums):
+        out = np.zeros(self.d)
+        for feats, bins in self.groups:
+            out[feats] = sums[feats, :bins].sum(axis=1)
+        return out
+
+    def best_split(self, target, rows, min_leaf):
+        if not self.groups:
+            return None
+        total_n = rows.size
+        if total_n == self.n:
+            keys, n_left, t = self.keys, self.root_n_left, target
+        else:
+            keys, t = self.keys.take(rows, axis=1), target[rows]
+            n_left = self._n_left(keys)
+        weights = t[None, :].repeat(self.d, 0).ravel()
+        sums = np.bincount(keys.ravel(), weights, self.d * self.stride).reshape(self.d, self.stride)
+        s_total = self.totals(sums)
+        s_left = sums.cumsum(axis=1)[:, :-1]
+        s_right = s_total[:, None] - s_left
+        n_right = total_n - n_left
+        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        score = np.where(
+            ok,
+            s_left**2 / np.maximum(n_left, 1) + s_right**2 / np.maximum(n_right, 1),
+            -np.inf,
+        )
+        best_b = score.argmax(axis=1)
+        best, best_gain = None, 0.0
+        for j, (sc, st) in enumerate(zip(score.max(axis=1).tolist(), s_total.tolist())):
+            if sc == -np.inf:
+                continue
+            try:
+                if sc == np.inf:
+                    raise OverflowError
+                gain = sc - st**2 / total_n
+            except OverflowError:
+                raise FitError("fit_gbt: a split gain overflows floating point") from None
+            if gain > best_gain + 1e-12:
+                best, best_gain = (j, int(best_b[j])), gain
+        return best
+
+
+def prior_gamma_constant_closed_form(residuals, gamma_weight):
+    r = np.sort(np.asarray(residuals, dtype=float))
+    n = r.size
+    if n == 0:
+        return 0.0
+    prefix = np.concatenate(([0.0], np.cumsum(r)))
+    total = prefix[-1]
+    j = np.arange(n + 1, dtype=float)
+    candidates = ((total - prefix) + gamma_weight * prefix) / ((n - j) + gamma_weight * j)
+    lows = np.concatenate(([-np.inf], r))
+    highs = np.concatenate((r, [np.inf]))
+    valid = np.nonzero((candidates >= lows - 1e-12) & (candidates <= highs + 1e-12))[0]
+    if valid.size == 0:
+        return minimize_gamma_constant(r, gamma_weight)
+    return float(candidates[valid[0]])
+
+
+def prior_gradient(loss, y, f):
+    if isinstance(loss, GammaRegressionLoss):
+        return gamma_loss_terms(y, f, loss.gamma)[1]
+    return 2.0 * (f - y)
+
+
+def prior_leaf_value(loss, y, f):
+    if isinstance(loss, GammaRegressionLoss):
+        return prior_gamma_constant_closed_form(np.asarray(y) - np.asarray(f), loss.gamma)
+    return float(np.mean(y - f))
+
+
+def prior_build_tree(bins, target, y, f, loss, spec, lr):
+    nodes = []
+
+    def build(rows, depth):
+        nid = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        split = None
+        if depth < spec.max_depth and rows.size >= 2 * spec.min_leaf:
+            split = bins.best_split(target, rows, spec.min_leaf)
+        if split is None:
+            leaf = prior_leaf_value(loss, y[rows], f[rows])
+            nodes[nid][4] = leaf
+            f[rows] += lr * leaf
+            return nid
+        j, b = split
+        mask = bins.keys[j, rows] <= j * bins.stride + b
+        nodes[nid][:2] = j, float(bins.edges[j][b])
+        nodes[nid][2] = build(rows[mask], depth + 1)
+        nodes[nid][3] = build(rows[~mask], depth + 1)
+        return nid
+
+    build(np.arange(bins.n), 0)
+    return _Tree.from_nodes(nodes)
+
+
+def prior_fit_gbt(X, y, loss, spec):
+    X = np.asarray(X, dtype=float).reshape(len(X), -1)
+    y = np.asarray(y, dtype=float)
+    if X.shape[0] == 0:
+        raise FitError("fit_gbt: empty training data")
+    init = float(loss.init_value(y))
+    if not math.isfinite(init):
+        raise FitError("fit_gbt: non-finite initialization constant")
+    f = np.full(X.shape[0], init)
+    trees = []
+    lr = spec.learning_rate
+    if lr > 0.0 and spec.n_rounds > 0:
+        bins = PriorBins(X, spec.max_bins)
+        for _ in range(spec.n_rounds):
+            grad = np.asarray(prior_gradient(loss, y, f), dtype=float)
+            if not np.isfinite(grad).all():
+                raise FitError("fit_gbt: non-finite gradient during boosting")
+            trees.append(prior_build_tree(bins, -grad, y, f, loss, spec, lr))
+            if not np.isfinite(f).all():
+                raise FitError("fit_gbt: non-finite predictions during boosting")
+    return GbtModel(init_value=init, learning_rate=lr, trees=trees)
+
+
+GAMMA_WEIGHTS = (1.0, 1.8, 1 / 1.8, 5.0)
+
+
+def gbt_corpus(count, seed=14):
+    """Seeded (X, y, loss, spec) cases: 3-1 000 rows, 1-5 covariates,
+    constant and rounded columns, outcome scales from 1e-14 to 1e154, both
+    losses and every tree hyperparameter the learner spec allows."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.choice([3, 10, 41, 85, 200, 315, 1000]))
+        d = int(rng.integers(1, 6))
+        X = rng.standard_normal((n, d))
+        if i % 4 == 1:
+            X[:, int(rng.integers(d))] = 1.5
+        if i % 4 == 2:
+            X = np.round(X, 1)
+        scale = float(rng.choice([1e-14, 1.0, 1e7, 1e154]))
+        y = scale * (np.sin(2.0 * X[:, 0]) + rng.standard_normal(n))
+        spec = LearnerSpec(
+            kind="gbt",
+            n_rounds=int(rng.choice([0, 5, 30], p=[0.1, 0.45, 0.45])),
+            max_depth=int(rng.integers(1, 4)),
+            min_leaf=int(rng.choice([1, 5, 20])),
+            max_bins=int(rng.choice([2, 8, 64])),
+            learning_rate=float(rng.choice([0.0, 0.1, 1.0], p=[0.1, 0.45, 0.45])),
+        )
+        weight = GAMMA_WEIGHTS[i % 5] if i % 5 < 4 else None
+        yield X, y, SquaredLoss() if weight is None else GammaRegressionLoss(weight), spec
+
+
+def gbt_outcome(fit, X, y, loss, spec):
+    # The oracle's loss values overflow NumPy at the largest scales.
+    with np.errstate(all="ignore"):
+        return fit_outcome(fit, X, y, loss, spec)
+
+
+class TestFitGbtMatchesPriorOracle:
+    def test_random_fits_and_errors_bit_identical(self):
+        outcomes = []
+        for X, y, loss, spec in gbt_corpus(240):
+            got = gbt_outcome(fit_gbt, X, y, loss, spec)
+            assert got == gbt_outcome(prior_fit_gbt, X, y, loss, spec)
+            outcomes.append(got)
+        trees = [o for o in outcomes if o.startswith("seqdml-model") and "n_trees = 0" not in o]
+        assert len(trees) >= 100
+        assert sum("split gain overflows" in o for o in outcomes) >= 10
+
+    @pytest.mark.parametrize("case", ["init", "gradient", "leaf-fallback"])
+    def test_extreme_outcomes_bit_identical(self, case, monkeypatch):
+        # No splits (one constant covariate), so every round is one leaf.
+        X = np.full((40, 1), 2.0)
+        y = np.tile([-8e306, 8e306], 20)
+        loss = GammaRegressionLoss(1.8)
+        if case == "init":
+            y, loss = np.full(40, 1e308), SquaredLoss()
+        elif case == "gradient":
+            # The constant sits near -5.3e307, so 2 (y - f) overflows.
+            y, loss = 10.0 * y, GammaRegressionLoss(5.0)
+        fallbacks = []
+        monkeypatch.setattr("seqdml.nuisance.minimize_gamma_constant",
+                            lambda *args: fallbacks.append(1) or minimize_gamma_constant(*args))
+        spec = LearnerSpec(kind="gbt", n_rounds=5, learning_rate=0.1)
+        got = gbt_outcome(fit_gbt, X, y, loss, spec)
+        assert got == gbt_outcome(prior_fit_gbt, X, y, loss, spec)
+        expected = {"init": "FitError: fit_gbt: non-finite initialization constant",
+                    "gradient": "FitError: fit_gbt: non-finite gradient during boosting"}
+        if case in expected:
+            assert got == expected[case]
+        else:
+            assert got.startswith("seqdml-model") and len(fallbacks) > 1
+
+    @pytest.mark.parametrize("n", [85, 315])
+    @pytest.mark.parametrize("weight", [1.8, 1 / 1.8])
+    def test_band_shapes_bit_identical(self, n, weight):
+        # A band refit's asymmetric-loss fits: one arm's rows, four
+        # covariates, the default learner, weight Gamma or 1/Gamma.
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 4))
+        y = X[:, 0] + 0.5 * X[:, 1] ** 2 + rng.standard_normal(n)
+        spec = LearnerSpec(kind="gbt")
+        model = fit_g1_gamma(X, y, weight, spec)
+        assert dump_model(model) == dump_model(prior_fit_gbt(X, y, GammaRegressionLoss(weight), spec))
+
+    def test_closed_form_and_its_fallback_bit_identical(self, monkeypatch):
+        fallbacks = []
+        monkeypatch.setattr("seqdml.nuisance.minimize_gamma_constant",
+                            lambda *args: fallbacks.append(1) or minimize_gamma_constant(*args))
+        rng = np.random.default_rng(41)
+        for scale in (1e-14, 1e-10, 1.0, 1e7, 1e154, 1e307):
+            for _ in range(40):
+                r = scale * rng.standard_normal(int(rng.integers(0, 60)))
+                rows = np.sort(rng.permutation(r.size)[: int(rng.integers(0, r.size + 1))])
+                gamma = float(rng.choice(GAMMA_WEIGHTS))
+                with np.errstate(all="ignore"):
+                    want = prior_gamma_constant_closed_form(r, gamma)
+                    assert _gamma_constant_closed_form(r, gamma) == want
+                    assert GammaRegressionLoss(gamma).residual_leaf(r, rows) == (
+                        prior_gamma_constant_closed_form(r[rows], gamma))
+        assert len(fallbacks) >= 10
+
+    def test_loss_wrappers_match_the_old_arithmetic(self):
+        rng = np.random.default_rng(42)
+        y, f = rng.standard_normal(200), rng.standard_normal(200)
+        f[:20] = y[:20]  # zero residuals
+        for gamma in GAMMA_WEIGHTS:
+            loss = GammaRegressionLoss(gamma)
+            assert np.array_equal(loss.gradient(y, f), gamma_loss_terms(y, f, gamma)[1])
+            assert loss.leaf_value(y, f) == prior_gamma_constant_closed_form(y - f, gamma)
+        assert SquaredLoss().leaf_value(y, f) == float(np.mean(y - f))
+        assert SquaredLoss().residual_leaf(y - f, np.arange(50)) == float(np.mean(y[:50] - f[:50]))

@@ -4,13 +4,16 @@
     python3 tools/bench_record.py --label smoke --tiny --out bench-smoke.json
 
 Runs ``python3 bench/run.py --workload W --seed S --seconds 20`` for every
-workload at seeds 801-805, then one ``--trace 1`` run per workload at the
-first seed, all from the root of the checkout this script sits in. It writes
-the machine it ran on, the median and quartiles of every end-to-end metric
-over the seeds, the traced per-layer metrics and the inference fingerprint
-of each workload's last end-to-end run. ``--tiny`` runs the benchmark's tiny
-inputs for 2 s at one seed: a check that the recorder still reads
-``run.py``'s output, not a measurement.
+workload at seeds 801-805, then one ``--trace 1`` run and one ``--seconds 0``
+run per workload at the first seed, all from the root of the checkout this
+script sits in. It writes the machine it ran on, the median and quartiles of
+every end-to-end metric over the seeds, the traced per-layer metrics and two
+inference fingerprints per workload: ``fingerprint``, of the last round of
+the last end-to-end run, and ``fingerprint_round0``, of the ``--seconds 0``
+run, which does exactly round 0. How many rounds fit in 20 s depends on
+speed, so only the second can be compared across checkouts of different
+speed. ``--tiny`` runs the benchmark's tiny inputs for 2 s at one seed: a
+check that the recorder still reads ``run.py``'s output, not a measurement.
 
 The metric names come from BENCHMARK.json; a run that fails, reports a
 failed operation or incorrect output, or leaves out a listed metric stops
@@ -116,6 +119,7 @@ def record(seeds, seconds: float, tiny: bool) -> dict:
     for workload in workloads:
         runs = results[workload]
         _, traced = run(workload, seeds[0], seconds, trace=True, tiny=tiny)
+        round0, _ = run(workload, seeds[0], 0.0, trace=False, tiny=tiny)
         out[workload] = {
             "end_to_end": {
                 m["name"]: {"unit": m["unit"], **summary(metric_values(runs, m["name"]))}
@@ -127,6 +131,7 @@ def record(seeds, seconds: float, tiny: bool) -> dict:
             },
             "attempted": [r["attempted"] for r in runs],
             "fingerprint": details[workload][-1]["fingerprint"],
+            "fingerprint_round0": round0["fingerprint"],
         }
     return out
 
