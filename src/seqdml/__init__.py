@@ -11,8 +11,6 @@ from .crossfit import (
     DmlFit,
     FoldPlan,
     IdentificationReport,
-    assign_fold,
-    estimate_variance,
     identification_diagnostics,
     solve_dml1,
     solve_dml2,

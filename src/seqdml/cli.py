@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossfit import identification_diagnostics
+from .crossfit import _check_identification_bounds, identification_diagnostics
 from .engine import _TABLE, Stream, StreamConfig, StopRule, _binary
 from .errors import (
     EstimandError,
@@ -439,6 +439,7 @@ def _cmd_monitor(opts: dict, stdout) -> int:
 
 
 def _cmd_diagnose(opts: dict, stdout) -> int:
+    _check_identification_bounds(opts["c0"], opts["c1"])
     blocks = list(_read_blocks(opts["input"], opts["estimand"]))
     estimand = opts["estimand"]
     n = sum(len(y) for y, _a, _X, _z in blocks)

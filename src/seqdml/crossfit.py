@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,12 +33,9 @@ __all__ = [
     "DmlFit",
     "IdentificationReport",
     "ScoreMoments",
-    "assign_fold",
     "solve_dml1",
     "solve_dml2",
     "solve_arrays",
-    "estimate_variance",
-    "variance_from_arrays",
     "identification_diagnostics",
 ]
 
@@ -48,15 +46,6 @@ logger = logging.getLogger(__name__)
 SINGULAR_TOL = 1e-10
 
 
-def assign_fold(index: int, k_folds: int) -> int:
-    """Round-robin fold id for the observation at a given arrival index."""
-    if k_folds < 2:
-        raise ParameterError(f"k_folds must be >= 2, got {k_folds}")
-    if index < 0:
-        raise ParameterError(f"index must be nonnegative, got {index}")
-    return index % k_folds
-
-
 @dataclass(frozen=True)
 class FoldPlan:
     """K-fold assignment: round-robin by arrival index."""
@@ -64,11 +53,8 @@ class FoldPlan:
     k_folds: int
 
     def __post_init__(self):
-        if self.k_folds < 2:
-            raise ParameterError(f"k_folds must be >= 2, got {self.k_folds}")
-
-    def fold_of(self, index: int) -> int:
-        return assign_fold(index, self.k_folds)
+        if not isinstance(self.k_folds, numbers.Integral) or self.k_folds < 2:
+            raise ParameterError(f"k_folds must be an integer >= 2, got {self.k_folds!r}")
 
     def assignments(self, n: int) -> np.ndarray:
         return np.arange(n, dtype=np.int64) % self.k_folds
@@ -395,38 +381,6 @@ def solve_dml1(scores: Sequence[LinearScore], plan: FoldPlan) -> DmlFit:
     return solve_arrays(psi_a, psi_b, fold_ids, plan.k_folds, variant="dml1")
 
 
-def variance_from_arrays(
-    psi_a: np.ndarray,
-    psi_b: np.ndarray,
-    theta_hat,
-    j_hat,
-    fold_ids: np.ndarray,
-    k_folds: int,
-    variant: str = "dml2",
-):
-    """Sandwich variance on raw arrays; dml1 averages fold-level sandwiches."""
-    psi_a, psi_b, d = _as_matrix_stack(psi_a, psi_b)
-    theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    moments = ScoreMoments(k_folds, d, theta_c=theta)
-    moments.add(psi_a, psi_b, fold_ids)
-    sigma_sq, _ = moments.sandwich(theta, np.atleast_2d(np.asarray(j_hat, dtype=float)), variant)
-    return _scalar_or_array(sigma_sq, d)
-
-
-def estimate_variance(
-    scores: Sequence[LinearScore],
-    theta_hat,
-    j_hat,
-    plan: FoldPlan,
-    variant: str = "dml2",
-):
-    """Sandwich variance J^{-1} (pooled mean psi psi^T at theta_hat) J^{-T}."""
-    _check_variant(variant)
-    psi_a, psi_b = _normalize_scores(scores)
-    fold_ids = plan.assignments(len(scores))
-    return variance_from_arrays(psi_a, psi_b, theta_hat, j_hat, fold_ids, plan.k_folds, variant)
-
-
 @dataclass(frozen=True)
 class IdentificationReport:
     """Singular-value and score non-degeneracy checks against [c0, c1]."""
@@ -444,10 +398,15 @@ class IdentificationReport:
         return self.jacobian_ok and self.second_moment_ok
 
 
-def identification_diagnostics(fit: DmlFit, c0: float, c1: float) -> IdentificationReport:
-    """Check Jacobian singular values against [c0, c1] and score second-moment eigenvalues against c0."""
+def _check_identification_bounds(c0: float, c1: float) -> None:
+    """Reject bounds other than 0 < c0 <= c1 (NaN included)."""
     if not (0 < c0 <= c1):
         raise ParameterError(f"need 0 < c0 <= c1, got c0={c0}, c1={c1}")
+
+
+def identification_diagnostics(fit: DmlFit, c0: float, c1: float) -> IdentificationReport:
+    """Check Jacobian singular values against [c0, c1] and score second-moment eigenvalues against c0."""
+    _check_identification_bounds(c0, c1)
     j_mat = np.atleast_2d(np.asarray(fit.j_hat, dtype=float))
     smin, smax = _min_max_singular(j_mat)
     sigma = np.atleast_2d(np.asarray(fit.sigma_sq_hat, dtype=float))

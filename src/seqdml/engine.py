@@ -8,9 +8,9 @@ concurrently on the same stream. Independent streams share no state.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -243,11 +243,10 @@ class StreamConfig:
             raise ParameterError(f"estimand must be one of {ESTIMANDS}, got {self.estimand!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.k_folds < 2:
-            raise ParameterError(f"k_folds must be >= 2, got {self.k_folds}")
-        if self.burn_in < self.k_folds:
+        FoldPlan(self.k_folds)  # checks k_folds
+        if not self.k_folds <= self.burn_in <= sys.float_info.max:  # NaN fails too
             raise ParameterError(
-                f"burn_in must be >= k_folds, got {self.burn_in} < {self.k_folds}"
+                f"burn_in must be finite and >= k_folds={self.k_folds}, got {self.burn_in}"
             )
         if self.rho is not None and not (self.rho > 0 and math.isfinite(self.rho)):
             raise ParameterError(f"rho must be a positive real, got {self.rho}")
@@ -255,8 +254,12 @@ class StreamConfig:
             raise ParameterError(f"gamma must be a real >= 1, got {self.gamma}")
         if not (0.0 < self.epsilon < 0.5):
             raise ParameterError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
-        if not self.refit_factor > 1.0:
-            raise ParameterError(f"refit_factor must exceed 1, got {self.refit_factor}")
+        # The refit schedule multiplies burn_in by refit_factor; that must stay finite.
+        if not (self.refit_factor > 1.0 and math.isfinite(self.burn_in * self.refit_factor)):
+            raise ParameterError(
+                f"refit_factor must exceed 1 and keep burn_in * refit_factor finite, "
+                f"got {self.refit_factor}"
+            )
         if self.dml_variant not in ("dml1", "dml2"):
             raise ParameterError(f"dml_variant must be 'dml1' or 'dml2', got {self.dml_variant}")
         # An unset spec gets its role's first accepted kind; probabilities clip at epsilon.
@@ -475,18 +478,6 @@ class Stream:
         """Append one observation, as a one-row ``push_batch``."""
         z = None if obs.z is None else [obs.z]
         return self.push_batch([obs.y], [obs.a], [obs.x], z)
-
-    def extend(self, observations) -> "Stream":
-        """Append observations in order: one ``push_batch`` per run of rows
-        that agree on having an instrument and on the covariate dimension."""
-        runs = itertools.groupby(observations, key=lambda obs: (obs.z is None, len(obs.x)))
-        for (no_z, _d), run in runs:
-            run = list(run)
-            self.push_batch(
-                [obs.y for obs in run], [obs.a for obs in run], [obs.x for obs in run],
-                None if no_z else [obs.z for obs in run],
-            )
-        return self
 
     # -- nuisance fitting ---------------------------------------------------
 
@@ -718,9 +709,7 @@ class Stream:
         lo, hi = point.lower_int, point.upper_int
         if rule.kind == "width_below":
             stop = (hi - lo) < rule.width
-        elif rule.kind == "excludes_zero":
-            stop = not (lo <= 0.0 <= hi)
-        else:
+        else:  # excludes_zero and sign_determined agree on every finite interval
             stop = lo > 0.0 or hi < 0.0
         if stop and self.stopped_at is None:
             self.stopped_at = point.n

@@ -13,6 +13,7 @@ the engine logs holdout RMSE trajectories as a diagnostic instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Protocol, Union
 
@@ -62,9 +63,14 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in ("ridge", "logistic", "gbt"):
             raise ParameterError(f"unknown learner kind {self.kind!r}")
-        if self.ridge_lambda < 0 or self.logistic_lambda < 0:
-            raise ParameterError("penalties must be nonnegative")
-        if self.n_rounds < 0 or self.max_depth < 1 or self.min_leaf < 1 or self.max_bins < 2:
+        for name in ("ridge_lambda", "logistic_lambda"):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise ParameterError(f"{name} must be a finite real >= 0, got {value}")
+        if not isinstance(self.n_rounds, numbers.Integral) or self.n_rounds < 0:
+            raise ParameterError(f"n_rounds must be an integer >= 0, got {self.n_rounds!r}")
+        # Negated, so that NaN, which would fit a model with no splits, fails too.
+        if not (self.max_depth >= 1 and self.min_leaf >= 1 and self.max_bins >= 2):
             raise ParameterError("tree hyperparameters out of range")
         if not (0.0 <= self.learning_rate <= 1.0):
             raise ParameterError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
@@ -235,9 +241,7 @@ FittedNuisance = Union[RidgeModel, LogisticModel, GbtModel, NuModel]
 
 class BoostLoss(Protocol):
     def init_value(self, y: np.ndarray) -> float: ...
-    def mean_loss(self, y: np.ndarray, f: np.ndarray) -> float: ...
     def gradient(self, y: np.ndarray, f: np.ndarray) -> np.ndarray: ...
-    def leaf_value(self, y: np.ndarray, f: np.ndarray) -> float: ...
     def residual_leaf(self, resid: np.ndarray, rows: np.ndarray) -> float: ...
 
 
@@ -245,14 +249,8 @@ class SquaredLoss:
     def init_value(self, y):
         return float(np.mean(y))
 
-    def mean_loss(self, y, f):
-        return float(np.mean((y - f) ** 2))
-
     def gradient(self, y, f):
         return 2.0 * (f - y)
-
-    def leaf_value(self, y, f):
-        return self.residual_leaf(np.asarray(y) - np.asarray(f), slice(None))
 
     def residual_leaf(self, resid, rows):
         return float(np.mean(resid[rows]))
@@ -267,17 +265,10 @@ class GammaRegressionLoss:
     def init_value(self, y):
         return minimize_gamma_constant(y, self.gamma)
 
-    def mean_loss(self, y, f):
-        value, _ = gamma_loss_terms(y, f, self.gamma)
-        return float(np.mean(value))
-
     def gradient(self, y, f):
         # gamma_loss_terms's -2 pos + 2 gamma neg, without the loss values.
         resid = np.asarray(y) - f
         return np.where(resid > 0.0, -2.0, -2.0 * self.gamma) * resid
-
-    def leaf_value(self, y, f):
-        return _gamma_constant_closed_form(np.asarray(y) - np.asarray(f), self.gamma)
 
     def residual_leaf(self, resid, rows):
         return _gamma_constant_closed_form(resid, self.gamma, rows)

@@ -367,6 +367,23 @@ class TestDiagnose:
         assert code == 2
         assert "gamma must be a real >= 1, got inf" in err
 
+    @pytest.mark.parametrize("bounds, shown", [
+        (["--c0", "0"], "c0=0.0, c1=100.0"),
+        (["--c0", "5", "--c1", "1"], "c0=5.0, c1=1.0"),
+        (["--c0", "nan"], "c0=nan, c1=100.0"),
+    ])
+    def test_bad_bounds_are_rejected_before_the_input_is_read(
+        self, tmp_path, capsys, bounds, shown
+    ):
+        data = write_ate_csv(tmp_path / "data.csv", n=300, seed=4)
+        for path in (data, tmp_path / "missing.csv"):
+            code, out, err = run_cli(
+                ["diagnose", "--input", str(path), "--estimand", "ate"] + bounds, capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"seqdml: error: need 0 < c0 <= c1, got {shown}\n"
+
 
 class TestReport:
     def test_report_on_simulate_output(self, tmp_path, capsys):

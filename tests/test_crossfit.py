@@ -9,13 +9,11 @@ from seqdml import (
     DmlFit,
     FoldPlan,
     LinearScore,
-    assign_fold,
-    estimate_variance,
     identification_diagnostics,
     solve_dml1,
     solve_dml2,
 )
-from seqdml.crossfit import solve_arrays, variance_from_arrays
+from seqdml.crossfit import solve_arrays
 from seqdml.errors import IdentificationError, ParameterError
 
 
@@ -29,24 +27,14 @@ FIXTURE_A = [-1.0, -1.0, -2.0, -1.0]
 FIXTURE_B = [1.0, 2.0, 3.0, 4.0]
 
 
-class TestAssignFold:
-    def test_modular(self):
-        assert assign_fold(0, 4) == 0
-        assert assign_fold(5, 4) == 1
-
-    def test_balance_exact(self):
-        folds = [assign_fold(i, 4) for i in range(8)]
-        assert [folds.count(k) for k in range(4)] == [2, 2, 2, 2]
-
-    def test_balance_within_one(self):
-        folds = [assign_fold(i, 4) for i in range(10)]
-        assert sorted((folds.count(k) for k in range(4)), reverse=True) == [3, 3, 2, 2]
-
+class TestFoldPlan:
     def test_k_below_two(self):
         with pytest.raises(ParameterError):
-            assign_fold(0, 1)
-        with pytest.raises(ParameterError):
             FoldPlan(k_folds=1)
+
+    def test_k_must_be_an_integer(self):
+        with pytest.raises(ParameterError, match="k_folds must be an integer"):
+            FoldPlan(k_folds=2.5)
 
 
 class TestSolveDml2:
@@ -116,39 +104,35 @@ class TestSolveDml1:
 
 
 class TestEstimateVariance:
+    """The sandwich variance is the sigma_sq_hat of a solve."""
+
     def test_unit_second_moment(self):
         # psi_a = -1, psi(theta=0) in {1, -1} -> sandwich variance 1.
-        plan = FoldPlan(k_folds=2)
-        scores = scores_from([-1.0] * 4, [1.0, -1.0, 1.0, -1.0])
-        fit = solve_dml2(scores, plan)
+        fit = solve_dml2(scores_from([-1.0] * 4, [1.0, -1.0, 1.0, -1.0]), FoldPlan(k_folds=2))
         assert fit.theta_hat == pytest.approx(0.0)
-        var = estimate_variance(scores, fit.theta_hat, fit.j_hat, plan)
-        assert var == pytest.approx(1.0)
+        assert fit.sigma_sq_hat == pytest.approx(1.0)
 
     def test_degenerate_scores(self):
-        plan = FoldPlan(k_folds=2)
-        scores = scores_from([-1.0] * 4, [2.0] * 4)
-        fit = solve_dml2(scores, plan)
-        var = estimate_variance(scores, fit.theta_hat, fit.j_hat, plan)
-        assert var == pytest.approx(0.0, abs=1e-14)
+        fit = solve_dml2(scores_from([-1.0] * 4, [2.0] * 4), FoldPlan(k_folds=2))
+        assert fit.sigma_sq_hat == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_evaluated_sandwich(self):
         # psi_a = -2, psi(theta) in {2, -2}: sigma^2 = (1/2)^2 * 4 = 1.
-        plan = FoldPlan(k_folds=2)
-        scores = scores_from([-2.0] * 4, [2.0, -2.0, 2.0, -2.0])
-        fit = solve_dml2(scores, plan)
+        fit = solve_dml1(scores_from([-2.0] * 4, [2.0, -2.0, 2.0, -2.0]), FoldPlan(k_folds=2))
         assert fit.theta_hat == pytest.approx(0.0)
-        var = estimate_variance(scores, fit.theta_hat, fit.j_hat, plan)
-        assert var == pytest.approx(1.0)
+        assert fit.sigma_sq_hat == pytest.approx(1.0)
 
     def test_dml1_averages_fold_sandwiches(self):
+        # Both folds solve to theta = 0 with J = -1; psi^2 averages 1 and 9.
         psi_a = np.array([-1.0, -1.0, -1.0, -1.0])
         psi_b = np.array([1.0, 3.0, -1.0, -3.0])
         fold_ids = np.array([0, 1, 0, 1])
-        v1 = variance_from_arrays(psi_a, psi_b, 0.0, -1.0, fold_ids, 2, variant="dml1")
-        v2 = variance_from_arrays(psi_a, psi_b, 0.0, -1.0, fold_ids, 2, variant="dml2")
-        assert v1 == pytest.approx(v2)  # shared Jacobian makes the two coincide
-        assert v1 == pytest.approx(5.0)
+        fit1 = solve_arrays(psi_a, psi_b, fold_ids, 2, variant="dml1")
+        fit2 = solve_arrays(psi_a, psi_b, fold_ids, 2, variant="dml2")
+        assert fit1.theta_hat == fit2.theta_hat == 0.0
+        assert fit1.j_hat == fit2.j_hat == -1.0
+        assert fit1.sigma_sq_hat == pytest.approx(fit2.sigma_sq_hat)  # shared Jacobian
+        assert fit1.sigma_sq_hat == pytest.approx(5.0)
 
     def test_matrix_case_symmetric_psd(self):
         rng = np.random.default_rng(8)

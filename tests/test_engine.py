@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seqdml import (
+    Columns,
     LearnerSpec,
     Observation,
     StopRule,
@@ -15,6 +16,7 @@ from seqdml import (
     gen_late,
     gen_partial_id,
     pate_band,
+    sign_determined,
     width_below,
     LateDgpParams,
     PartialIdDgpParams,
@@ -43,19 +45,19 @@ from seqdml.scores import (
 NDJSON_ORDER = ["n", "estimate", "sigma", "lower", "upper", "lower_int", "upper_int", "stopped"]
 
 
-def null_effect_observations(n, seed=0):
+def null_effect_columns(n, seed=0):
     """Balanced treatment, outcome independent of treatment: effect is zero."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 2))
-    a = np.tile([0, 1], n // 2 + 1)[:n]
+    a = np.tile([0.0, 1.0], n // 2 + 1)[:n]
     y = x[:, 0] + 0.5 * rng.normal(size=n)
-    return [Observation(y=float(y[i]), a=int(a[i]), x=tuple(x[i])) for i in range(n)]
+    return Columns(y, a, x)
 
 
 class TestPush:
     def test_round_robin_fold_sizes(self):
         stream = Stream(StreamConfig(estimand="ate", k_folds=5, burn_in=10))
-        for obs in null_effect_observations(10):
+        for obs in observations_of(null_effect_columns(10)):
             stream.push(obs)
         counts = np.bincount(stream.plan.assignments(stream.n), minlength=5)
         assert counts.tolist() == [2, 2, 2, 2, 2]
@@ -77,9 +79,10 @@ class TestPush:
             Observation(y=1.0, a=1, x=())
 
     def test_push_after_stop_flagged(self):
-        obs = null_effect_observations(300, seed=3)
+        obs = observations_of(null_effect_columns(300, seed=3))
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=3))
-        stream.extend(obs[:200])
+        for row in obs[:200]:
+            stream.push(row)
         stream.peek()
         decision = stream.check_stop(width_below(1e6))
         assert decision.stop
@@ -98,6 +101,22 @@ class TestPush:
             StreamConfig(estimand="ate", gamma=0.5)
         with pytest.raises(ParameterError):
             StreamConfig(estimand="ate", refit_factor=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("k_folds", 5.0),
+        ("burn_in", float("nan")),
+        ("burn_in", float("inf")),
+        pytest.param("burn_in", 10**400, id="burn_in-10**400"),
+        ("refit_factor", float("inf")),
+        ("refit_factor", 1e307),
+    ])
+    def test_settings_that_would_fail_at_a_peek_are_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            StreamConfig(estimand="ate", **{field: value})
+
+    def test_a_real_burn_in_still_peeks(self):
+        stream = Stream(StreamConfig(estimand="ate", burn_in=500.0, seed=3))
+        assert stream.push_batch(*null_effect_columns(500, seed=3)).peek().n == 500
 
     def test_non_finite_gamma_and_rho_rejected(self):
         for value in (float("inf"), float("nan")):
@@ -124,13 +143,13 @@ class TestPush:
 class TestPeek:
     def test_not_ready_below_burn_in(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=50))
-        stream.extend(null_effect_observations(30))
+        stream.push_batch(*null_effect_columns(30))
         with pytest.raises(NotReadyError):
             stream.peek()
 
     def test_null_effect_stream(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=200, seed=1))
-        stream.extend(null_effect_observations(600, seed=1))
+        stream.push_batch(*null_effect_columns(600, seed=1))
         point = stream.peek()
         assert abs(point.theta_hat) < 0.5
         assert point.lower < 0.0 < point.upper
@@ -138,7 +157,7 @@ class TestPeek:
 
     def test_double_peek_idempotent(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=2))
-        stream.extend(null_effect_observations(250, seed=2))
+        stream.push_batch(*null_effect_columns(250, seed=2))
         first = stream.peek()
         second = stream.peek()
         assert first == second
@@ -156,8 +175,9 @@ class TestPeek:
 
     def test_rho_frozen_after_first_peek(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=4))
-        observations = null_effect_observations(500, seed=4)
-        stream.extend(observations[:100])
+        columns = null_effect_columns(500, seed=4)
+        observations = observations_of(columns)
+        stream.push_batch(*columns.rows(0, 100))
         stream.peek()
         tuned = stream.rho
         assert tuned is not None and tuned > 0
@@ -169,7 +189,7 @@ class TestPeek:
 
     def test_refit_schedule_geometric(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=50, seed=5, refit_factor=2.0))
-        observations = null_effect_observations(450, seed=5)
+        observations = observations_of(null_effect_columns(450, seed=5))
         for i, obs in enumerate(observations):
             stream.push(obs)
             n = i + 1
@@ -226,7 +246,7 @@ class TestPeek:
     def test_out_of_fold_purity_enforced(self):
         stream = poisoned_stream()
         stream._moments = None  # force rescoring of every row
-        stream.extend(null_effect_observations(10, seed=99))
+        stream.push_batch(*null_effect_columns(10, seed=99))
         with pytest.raises(AssertionError):
             stream.peek()
 
@@ -239,7 +259,7 @@ class TestPeek:
             stream.peek()
         assert stream.rho is None
         assert stream.peek_log == []
-        stream.extend(null_effect_observations(100, seed=13))
+        stream.push_batch(*null_effect_columns(100, seed=13))
         point = stream.peek()
         assert stream.rho is not None
         assert point.sigma_hat > 0
@@ -252,17 +272,16 @@ class TestPeek:
         x = rng.normal(size=(n, 2))
         a = (x[:, 0] + 0.05 * rng.normal(size=n) > 0).astype(int)
         y = a + x[:, 1] + rng.normal(size=n)
-        obs = [Observation(y=float(y[i]), a=int(a[i]), x=tuple(x[i])) for i in range(n)]
         config = StreamConfig(estimand="ate", burn_in=100, seed=14)
         stream = Stream(config)
-        stream.extend(obs[:150])
+        stream.push_batch(y[:150], a[:150], x[:150])
         stream.peek()
-        stream.extend(obs[150:])
+        stream.push_batch(y[150:], a[150:], x[150:])
         stream.peek()  # n = 450 is past the refit at 400, so every row is rescored
         eps = config.epsilon
         expected = 0
         for k in range(config.k_folds):
-            rows = [i for i in range(n) if stream.plan.fold_of(i) == k]
+            rows = stream.plan.assignments(n) == k
             raw = stream._fold_models[k]["e"].probability(x[rows])
             expected += int(np.sum((raw < eps) | (raw > 1.0 - eps)))
         assert expected > 0
@@ -315,6 +334,17 @@ class TestCheckStop:
         stream = self.make_stream_with_interval(-0.9, -0.2)
         assert stream.check_stop("sign_determined").stop
 
+    def test_zero_rules_decide_alike_on_finite_intervals(self):
+        # Every ordered pair of grid bounds, so empty intervals (lower > upper)
+        # and bounds at 0.0 and -0.0 are all included.
+        grid = [-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0]
+        for lower in grid:
+            for upper in grid:
+                stream = self.make_stream_with_interval(lower, upper)
+                outside = not (lower <= 0.0 <= upper)
+                assert stream.check_stop(excludes_zero()).stop == outside
+                assert stream.check_stop(sign_determined()).stop == outside
+
     def test_requires_a_peek(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=5, k_folds=2))
         with pytest.raises(NotReadyError):
@@ -342,7 +372,7 @@ class TestCheckStop:
 class TestNdjson:
     def test_field_names_and_order(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=13))
-        stream.extend(null_effect_observations(200, seed=13))
+        stream.push_batch(*null_effect_columns(200, seed=13))
         stream.peek()
         lines = stream.export_ndjson().splitlines()
         assert len(lines) == 1
@@ -410,7 +440,7 @@ class TestPateBand:
 class TestNuisanceEvals:
     def test_ate_evals_well_formed(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=18))
-        stream.extend(null_effect_observations(150, seed=18))
+        stream.push_batch(*null_effect_columns(150, seed=18))
         stream.peek()
         evals = stream.nuisance_evals()
         assert len(evals) == 150
@@ -477,7 +507,7 @@ class TestOrthogonalityDerivatives:
 
     def test_requires_an_estimate(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=100))
-        stream.extend(null_effect_observations(50))
+        stream.push_batch(*null_effect_columns(50))
         with pytest.raises(NotReadyError):
             stream.orthogonality_derivatives()
 
@@ -490,7 +520,9 @@ class TestOrthogonalityDerivatives:
             Observation(y=float(v + 0.3 * rng.normal()), a=int(v > 0), x=(float(v),)) for v in x
         ]
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, epsilon=1e-6))
-        stream.extend(observations).peek()
+        for obs in observations:
+            stream.push(obs)
+        stream.peek()
         with pytest.raises(NuisanceError, match="strictly inside"):
             stream.orthogonality_derivatives()
         evals = dict(zip(map(id, observations), stream.nuisance_evals()))
@@ -505,7 +537,7 @@ def poisoned_stream():
     """A fitted ATE stream whose fold 0 models claim to have been trained on
     fold 0's rows, which they will be asked to score."""
     stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=11))
-    stream.extend(null_effect_observations(120, seed=11))
+    stream.push_batch(*null_effect_columns(120, seed=11))
     stream.peek()
     poisoned = dict(stream._fold_models[0])
     poisoned["fold"] = 1
@@ -564,7 +596,7 @@ class TestOnePredictionPass:
 
     def test_a_refit_predicts_each_row_once_per_nuisance(self, monkeypatch):
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=18))
-        stream.extend(null_effect_observations(250, seed=18))
+        stream.push_batch(*null_effect_columns(250, seed=18))
         stream.peek()
         rows = {"ridge": 0, "probability": 0}
 
@@ -578,7 +610,7 @@ class TestOnePredictionPass:
         monkeypatch.setattr(
             LogisticModel, "probability", counted("probability", LogisticModel.probability)
         )
-        stream.extend(null_effect_observations(160, seed=19))
+        stream.push_batch(*null_effect_columns(160, seed=19))
         stream.peek()  # n = 410 is past the refit at 400
         assert rows == {"ridge": 2 * 410, "probability": 410}
 
@@ -615,8 +647,8 @@ class TestOnePredictionPass:
 
     def test_holdout_rmse_is_recorded_once_per_refit(self, monkeypatch):
         stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=20))
-        observations = null_effect_observations(260, seed=20)
-        stream.extend(observations[:150]).peek()
+        columns = null_effect_columns(260, seed=20)
+        stream.push_batch(*columns.rows(0, 150)).peek()
         original, failed = ScoreMoments.centred, []
 
         def fail_once(*args, **kwargs):
@@ -626,10 +658,10 @@ class TestOnePredictionPass:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ScoreMoments, "centred", fail_once)
-        stream.extend(observations[150:250])
+        stream.push_batch(*columns.rows(150, 250))
         with pytest.raises(RuntimeError):
             stream.peek()  # the refit at 250 rescores every row, and the rebuild fails
-        stream.extend(observations[250:]).peek()  # rescores every row again
+        stream.push_batch(*columns.rows(250, 260)).peek()  # rescores every row again
         assert failed
         assert stream.holdout_rmse
         for values in stream.holdout_rmse.values():

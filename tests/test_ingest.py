@@ -114,24 +114,6 @@ def test_blocks_of_random_sizes_equal_per_row_pushes(estimand):
     assert np.array_equal(oracle._rows.view(), table, equal_nan=True)
 
 
-def test_extend_is_one_block_per_run():
-    columns = generated_columns("ate", 200, 62)
-    rows = observations_of(columns)
-    one = Stream(StreamConfig(estimand="ate")).extend(rows)
-    many = Stream(StreamConfig(estimand="ate"))
-    for obs in rows:
-        many.push(obs)
-    assert np.array_equal(one._rows.view(), many._rows.view(), equal_nan=True)
-    assert one.peek() == many.peek()
-    # Rows with and without an instrument go in as separate blocks.
-    mixed = Stream(StreamConfig(estimand="ate")).extend(
-        [Observation(y=1.0, a=1, x=(0.5,), z=1), Observation(y=2.0, a=0, x=(0.1,))]
-    )
-    assert np.array_equal(
-        mixed._rows.view(), [[1.0, 1.0, 1.0, 0.5], [2.0, 0.0, np.nan, 0.1]], equal_nan=True
-    )
-
-
 # -- push_batch checks -------------------------------------------------------
 
 def block(n=5, d=2, **changes):

@@ -40,7 +40,6 @@ from seqdml.crossfit import (
     _scalar_or_array,
     _solve_linear,
     solve_arrays,
-    variance_from_arrays,
 )
 from seqdml.errors import IdentificationError, NotReadyError, ParameterError
 
@@ -120,17 +119,6 @@ def oracle_solve(psi_a, psi_b, fold_ids, k_folds, variant="dml2"):
     )
 
 
-def oracle_variance(psi_a, psi_b, theta_hat, j_hat, fold_ids, k_folds, variant="dml2"):
-    psi_a, psi_b, d = _as_matrix_stack(psi_a, psi_b)
-    groups = _fold_indices(np.asarray(fold_ids), k_folds)
-    theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    j_mat = np.atleast_2d(np.asarray(j_hat, dtype=float))
-    sigma_sq, fold_sigmas = _oracle_sandwich(psi_a, psi_b, theta, j_mat, groups)
-    if variant == "dml1":
-        sigma_sq = _project_psd(_fsum_mean(np.array(fold_sigmas)))
-    return _scalar_or_array(sigma_sq, d)
-
-
 def same_bits(x, y) -> bool:
     if x is None or y is None:
         return x is None and y is None
@@ -180,11 +168,6 @@ def test_solve_arrays_bit_identical_to_oracle(d, variant):
             fold_ids = rng.permutation(fold_ids)
         fit = solve_arrays(psi_a, psi_b, fold_ids, k, variant=variant)
         assert_fits_match(fit, oracle_solve(psi_a, psi_b, fold_ids, k, variant))
-        theta, j_hat = fit.theta_hat, fit.j_hat
-        assert same_bits(
-            variance_from_arrays(psi_a, psi_b, theta, j_hat, fold_ids, k, variant),
-            oracle_variance(psi_a, psi_b, theta, j_hat, fold_ids, k, variant),
-        )
 
 
 @pytest.mark.parametrize("variant", ["dml1", "dml2"])
@@ -194,8 +177,6 @@ def test_error_cases_match_oracle(variant):
     for solve in (solve_arrays, oracle_solve):
         with pytest.raises(ParameterError):
             solve(*args, variant=variant)
-    with pytest.raises(ParameterError):
-        variance_from_arrays(*args[:2], 1.5, -1.0, *args[2:], variant=variant)
     # A singular Jacobian, pooled (dml2) or in fold 1 (dml1).
     psi_a = np.array([1e-12, -1e-12, 1e-12, -1e-12]) if variant == "dml2" else np.array(
         [-1.0, 0.0, -1.0, 0.0])

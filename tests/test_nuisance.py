@@ -311,10 +311,11 @@ class TestFitGbt:
         loss = GammaRegressionLoss(gamma)
         spec = LearnerSpec(kind="gbt", n_rounds=60)
         model = fit_gbt(x, y, loss, spec)
-        losses = [
-            loss.mean_loss(y, GbtModel(model.init_value, model.learning_rate, model.trees[:k]).predict(x))
+        stages = (
+            GbtModel(model.init_value, model.learning_rate, model.trees[:k])
             for k in range(len(model.trees) + 1)
-        ]
+        )
+        losses = [float(np.mean(gamma_loss_terms(y, m.predict(x), gamma)[0])) for m in stages]
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-12)
 
@@ -502,6 +503,25 @@ def test_outcome_length_must_match_rows(fit, n_y):
         fit(X, y)
 
 
+@pytest.mark.parametrize("field", ["ridge_lambda", "logistic_lambda"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_penalty_must_be_finite_and_nonnegative(field, value):
+    with pytest.raises(ParameterError, match=field):
+        LearnerSpec(**{field: value})
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"n_rounds": 5.0}, "n_rounds"),
+    ({"n_rounds": float("inf")}, "n_rounds"),
+    ({"max_depth": float("nan")}, "tree hyperparameters"),
+    ({"min_leaf": float("nan")}, "tree hyperparameters"),
+    ({"max_bins": float("nan")}, "tree hyperparameters"),
+])
+def test_tree_settings_that_cannot_grow_a_tree_are_rejected(settings, message):
+    with pytest.raises(ParameterError, match=message):
+        LearnerSpec(kind="gbt", **settings)
+
+
 class TestDumpLoad:
     def test_round_trip_all_kinds(self):
         rng = np.random.default_rng(15)
@@ -681,7 +701,7 @@ def oracle_fit_gbt(X, y, loss, spec):
                         codes_offset, starts, n_bins, total_bins, target, rows, spec.min_leaf
                     )
                 if split is None:
-                    leaf = loss.leaf_value(y[rows], f[rows])
+                    leaf = prior_leaf_value(loss, y[rows], f[rows])
                     nodes[nid][4] = leaf
                     f[rows] += lr * leaf
                     return nid
@@ -1059,6 +1079,4 @@ class TestFitGbtMatchesPriorOracle:
         for gamma in GAMMA_WEIGHTS:
             loss = GammaRegressionLoss(gamma)
             assert np.array_equal(loss.gradient(y, f), gamma_loss_terms(y, f, gamma)[1])
-            assert loss.leaf_value(y, f) == prior_gamma_constant_closed_form(y - f, gamma)
-        assert SquaredLoss().leaf_value(y, f) == float(np.mean(y - f))
         assert SquaredLoss().residual_leaf(y - f, np.arange(50)) == float(np.mean(y[:50] - f[:50]))
