@@ -101,28 +101,33 @@ def region_threshold(n: int, params: MixtureParams) -> float:
     return factor * logterm
 
 
-def tune_rho(alpha: float, m: int, sigma_sq_m: float) -> float:
-    """Mixture scale that aims the boundary at the first peeking time m.
-
-    Returns ``sqrt((-2 log(alpha) + log(-2 log(alpha)) + 1) /
-    (sigma_sq_m * m * log(max(m, e))))``, evaluated verbatim. Requires alpha
-    small enough that the numerator is positive (any alpha <= ~0.28 works).
-    """
+def _rho_numerator(alpha: float) -> float:
+    """The numerator of :func:`tune_rho`; an alpha outside (0, 0.8700259...),
+    where it is not positive, raises ParameterError."""
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if m < 1:
-        raise ParameterError(f"m must be a positive integer, got {m}")
-    if not (sigma_sq_m > 0):
-        raise ParameterError(f"sigma_sq_m must be positive, got {sigma_sq_m}")
     minus_two_log_alpha = -2.0 * math.log(alpha)
-    if minus_two_log_alpha <= 0:
-        raise ParameterError(f"alpha must be below 1, got {alpha}")
     numerator = minus_two_log_alpha + math.log(minus_two_log_alpha) + 1.0
     if numerator <= 0:
         raise ParameterError(
             f"alpha={alpha} is too large for the tuning rule "
             "(-2 log(alpha) + log(-2 log(alpha)) + 1 must be positive)"
         )
+    return numerator
+
+
+def tune_rho(alpha: float, m: int, sigma_sq_m: float) -> float:
+    """Mixture scale that aims the boundary at the first peeking time m.
+
+    Returns ``sqrt((-2 log(alpha) + log(-2 log(alpha)) + 1) /
+    (sigma_sq_m * m * log(max(m, e))))``, evaluated verbatim. Requires alpha
+    small enough that the numerator is positive: 0 < alpha < 0.8700259...
+    """
+    numerator = _rho_numerator(alpha)
+    if m < 1:
+        raise ParameterError(f"m must be a positive integer, got {m}")
+    if not (sigma_sq_m > 0):
+        raise ParameterError(f"sigma_sq_m must be positive, got {sigma_sq_m}")
     denominator = sigma_sq_m * m * math.log(max(m, math.e))
     return math.sqrt(numerator / denominator)
 

@@ -60,7 +60,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "seed": (int, 0),
         "gamma": (float, None),
         "tau": (float, -0.5),
-        "k_folds": (int, 5),
+        "k_folds": (int, None),  # band mode only; unset means 5
         "out_dir": (str, None),
     },
     "monitor": {
@@ -71,7 +71,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "peek_every": (int, 100),
         "k_folds": (int, 5),
         "gamma": (float, 1.0),
-        "seed": (int, 0),
+        "seed": (int, 0),  # accepted but changes nothing: monitoring draws no random numbers
         "rho": (float, None),
         "stop_rule": (str, None),
         "stop_width": (float, None),
@@ -83,7 +83,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "alpha": (float, 0.05),
         "k_folds": (int, 5),
         "gamma": (float, 1.0),
-        "seed": (int, 0),
+        "seed": (int, 0),  # accepted but changes nothing: diagnosing draws no random numbers
         "c0": (float, 0.05),
         "c1": (float, 100.0),
     },
@@ -309,27 +309,30 @@ def _cmd_simulate(opts: dict) -> int:
     if dgp not in ("late", "partial-id"):
         raise ParameterError(f"--dgp must be 'late' or 'partial-id', got {dgp!r}")
     mode = opts["mode"] or ("coverage" if dgp == "late" else "band")
+    if mode not in ("coverage", "band"):
+        raise ParameterError(f"--mode must be 'coverage' or 'band', got {mode!r}")
+    if mode == "band" and dgp != "partial-id":
+        raise ParameterError("band mode requires --dgp partial-id")
+    if mode == "coverage" and opts["k_folds"] is not None:
+        raise ParameterError("--k-folds applies to band mode only; coverage runs use 5 folds")
+    paired = "late" if dgp == "late" else "ate"  # the one estimand coverage mode runs
+    estimand = opts["estimand"] or paired
+    if mode == "coverage" and estimand != paired:
+        raise ParameterError(f"estimand {estimand!r} cannot be paired with dgp {dgp!r}")
     out_dir = _resolve_out_dir(opts["out_dir"])
     peek_every = opts["peek_every"]
     burn_in = opts["burn_in"] if opts["burn_in"] is not None else peek_every
 
     if mode == "coverage":
-        estimand = opts["estimand"] or ("late" if dgp == "late" else "ate")
-        valid = {"late": ("late",), "partial-id": ("ate",)}
-        if estimand not in valid[dgp]:
-            raise ParameterError(
-                f"estimand {estimand!r} cannot be paired with dgp {dgp!r}"
-            )
-        dgp_key = "late" if dgp == "late" else "partial_id"
         dgp_params = None
-        if dgp_key == "partial_id":
+        if dgp == "partial-id":
             dgp_params = sim.PartialIdDgpParams.from_seed(
                 opts["seed"],
                 tau=opts["tau"],
                 gamma_data=opts["gamma"] if opts["gamma"] is not None else 1.0,
             )
         sim.run_coverage(
-            dgp=dgp_key,
+            dgp="late" if dgp == "late" else "partial_id",
             estimand=estimand,
             reps=opts["reps"],
             n_max=opts["n_max"],
@@ -344,33 +347,28 @@ def _cmd_simulate(opts: dict) -> int:
         print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'curves.csv'}")
         return 0
 
-    if mode == "band":
-        if dgp != "partial-id":
-            raise ParameterError("band mode requires --dgp partial-id")
-        gamma_data = opts["gamma"] if opts["gamma"] is not None else math.exp(0.6)
-        params = sim.PartialIdDgpParams.from_seed(
-            opts["seed"], tau=opts["tau"], gamma_data=gamma_data
-        )
-        result = sim.run_pate_band(
-            n_max=opts["n_max"],
-            peek_every=peek_every,
-            burn_in=burn_in,
-            gamma=gamma_data,
-            alpha=opts["alpha"],
-            seed=opts["seed"],
-            dgp_params=params,
-            k_folds=opts["k_folds"],
-        )
-        band_path = out_dir / "band.csv"
-        with open(band_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "lower_band", "upper_band"])
-            for p in result.points:
-                writer.writerow([p.n, repr(p.lower), repr(p.upper)])
-        print(f"wrote {band_path}")
-        return 0
-
-    raise ParameterError(f"--mode must be 'coverage' or 'band', got {mode!r}")
+    gamma_data = opts["gamma"] if opts["gamma"] is not None else math.exp(0.6)
+    params = sim.PartialIdDgpParams.from_seed(
+        opts["seed"], tau=opts["tau"], gamma_data=gamma_data
+    )
+    result = sim.run_pate_band(
+        n_max=opts["n_max"],
+        peek_every=peek_every,
+        burn_in=burn_in,
+        gamma=gamma_data,
+        alpha=opts["alpha"],
+        seed=opts["seed"],
+        dgp_params=params,
+        k_folds=5 if opts["k_folds"] is None else opts["k_folds"],
+    )
+    band_path = out_dir / "band.csv"
+    with open(band_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "lower_band", "upper_band"])
+        for p in result.points:
+            writer.writerow([p.n, repr(p.lower), repr(p.upper)])
+    print(f"wrote {band_path}")
+    return 0
 
 
 def _stop_rule(opts: dict) -> StopRule | None:
@@ -393,7 +391,6 @@ def _cmd_monitor(opts: dict, stdout) -> int:
         burn_in=opts["burn_in"],
         rho=opts["rho"],
         gamma=opts["gamma"],
-        seed=opts["seed"],
     ))
     burn_in, cadence = opts["burn_in"], opts["peek_every"]
 
@@ -440,8 +437,13 @@ def _cmd_monitor(opts: dict, stdout) -> int:
 
 def _cmd_diagnose(opts: dict, stdout) -> int:
     _check_identification_bounds(opts["c0"], opts["c1"])
-    blocks = list(_read_blocks(opts["input"], opts["estimand"]))
     estimand = opts["estimand"]
+    # Built before the input is read, so option errors come first. The one
+    # peek comes after every row: with burn_in = k_folds it runs at any n >= K.
+    k_folds = opts["k_folds"]
+    stream = Stream(StreamConfig(estimand=estimand, alpha=opts["alpha"], k_folds=k_folds,
+                                 burn_in=k_folds, gamma=opts["gamma"]))
+    blocks = list(_read_blocks(opts["input"], estimand))
     n = sum(len(y) for y, _a, _X, _z in blocks)
     out = lambda text: stdout.write(text + "\n")
     out(f"diagnose: estimand={estimand} n={n}")
@@ -457,15 +459,6 @@ def _cmd_diagnose(opts: dict, stdout) -> int:
         out("identification: FAIL (instrument is constant)")
         return 0
 
-    config = StreamConfig(
-        estimand=estimand,
-        alpha=opts["alpha"],
-        k_folds=opts["k_folds"],
-        burn_in=max(opts["k_folds"], min(n, 20)),
-        gamma=opts["gamma"],
-        seed=opts["seed"],
-    )
-    stream = Stream(config)
     for columns in blocks:
         stream.push_batch(*columns)
     try:

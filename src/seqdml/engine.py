@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .boundary import Interval, MixtureParams, intersect_step, scalar_radius, tune_rho
+from .boundary import _rho_numerator
 # solve_arrays is unused here; the benchmark's tracer wraps it on this module.
 from .crossfit import DmlFit, FoldPlan, ScoreMoments, solve_arrays  # noqa: F401
 from .errors import (
@@ -86,13 +87,14 @@ def _fit_nu(spec: LearnerSpec, X, target, weight, base):
     return fit_nu(X, target, base, weight, spec)
 
 
-# role: (StreamConfig spec field, accepted learner kinds, fit function)
+# role: (StreamConfig spec field, accepted learner kinds, fit function). The
+# roles without a field fit the stream's logistic learner, clipped at epsilon.
 _ROLES = {
     "outcome": ("outcome_spec", ("ridge", "gbt"), _fit_outcome),
-    "propensity": ("propensity_spec", ("logistic",), _fit_probability),
-    "treatment": ("treatment_spec", ("logistic",), _fit_probability),
+    "propensity": (None, None, _fit_probability),
+    "treatment": (None, None, _fit_probability),
     "gamma": ("gamma_spec", ("gbt",), _fit_gamma),
-    "nu": ("nu_spec", ("logistic",), _fit_nu),
+    "nu": (None, None, _fit_nu),
 }
 
 
@@ -219,7 +221,8 @@ class StreamConfig:
     ``rho=None`` means: tune the mixture scale at the first peek from the
     variance estimate there, then freeze it (re-tuning adaptively would break
     the mixture-boundary guarantee); a peek whose variance estimate is zero
-    is deferred until one is positive. ``burn_in`` is the first peeking time.
+    is deferred until one is positive; the tuning rule needs alpha below
+    about 0.87. ``burn_in`` is the first peeking time.
     """
 
     estimand: str
@@ -230,19 +233,17 @@ class StreamConfig:
     gamma: float = 1.0
     epsilon: float = 0.01
     refit_factor: float = 2.0
-    seed: int = 0
     dml_variant: str = "dml2"
     outcome_spec: LearnerSpec | None = None
-    propensity_spec: LearnerSpec | None = None
-    treatment_spec: LearnerSpec | None = None
     gamma_spec: LearnerSpec | None = None
-    nu_spec: LearnerSpec | None = None
 
     def __post_init__(self):
         if self.estimand not in ESTIMANDS:
             raise ParameterError(f"estimand must be one of {ESTIMANDS}, got {self.estimand!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.rho is None:
+            _rho_numerator(self.alpha)  # the first peek tunes rho at this alpha
         FoldPlan(self.k_folds)  # checks k_folds
         if not self.k_folds <= self.burn_in <= sys.float_info.max:  # NaN fails too
             raise ParameterError(
@@ -262,19 +263,16 @@ class StreamConfig:
             )
         if self.dml_variant not in ("dml1", "dml2"):
             raise ParameterError(f"dml_variant must be 'dml1' or 'dml2', got {self.dml_variant}")
-        # An unset spec gets its role's first accepted kind; probabilities clip at epsilon.
+        # An unset spec gets its role's first accepted kind.
         for name, kinds, _fit in _ROLES.values():
-            if getattr(self, name) is None:
-                clip = self.epsilon if kinds[0] == "logistic" else LearnerSpec.clip
-                spec = LearnerSpec(kind=kinds[0], clip=clip, seed=self.seed)
-                object.__setattr__(self, name, spec)
+            if name is not None and getattr(self, name) is None:
+                object.__setattr__(self, name, LearnerSpec(kind=kinds[0]))
         for nuis in _TABLE[self.estimand].nuisances:
             name, kinds, _fit = _ROLES[nuis.role]
-            kind = getattr(self, name).kind
-            if kind not in kinds:
+            if name is not None and getattr(self, name).kind not in kinds:
                 raise ParameterError(
                     f"{name} for {self.estimand} must be of kind "
-                    f"{' or '.join(map(repr, kinds))}, got {kind!r}"
+                    f"{' or '.join(map(repr, kinds))}, got {getattr(self, name).kind!r}"
                 )
 
 
@@ -392,6 +390,7 @@ class Stream:
         self.config = config
         self.plan = FoldPlan(config.k_folds)
         self._estimand = _TABLE[config.estimand]
+        self._logistic = LearnerSpec(kind="logistic", clip=config.epsilon)
         self.rho: float | None = config.rho
         self.peek_log: list[CsPoint] = []
         self.stopped_at: int | None = None
@@ -525,9 +524,10 @@ class Stream:
         models: dict = {"fold": fold, "train_n": train_n}
         for nuis in est.nuisances:
             spec_name, _kinds, fit = _ROLES[nuis.role]
+            spec = self._logistic if spec_name is None else getattr(cfg, spec_name)
             rows = self._subset(nuis.subset, cols)
             models[nuis.key] = fit(
-                getattr(cfg, spec_name), X[rows], cols[nuis.target or "y"][rows],
+                spec, X[rows], cols[nuis.target or "y"][rows],
                 weights.get(nuis.key), models.get(nuis.base),
             )
         return models
@@ -576,7 +576,7 @@ class Stream:
 
         Propensities are clipped to [epsilon, 1 - epsilon]. The events are
         counted against the unclipped probability: the model's own clip
-        usually equals epsilon and would hide every event.
+        equals epsilon and would hide every event.
         """
         if self._fold_models is None:
             raise NotReadyError("nuisances have not been fit yet; peek first")
@@ -601,7 +601,7 @@ class Stream:
                 if nuis.role == "propensity":
                     raw = model.probability(X)
                     clip_events += int(np.sum((raw < eps) | (raw > 1.0 - eps)))
-                    preds[nuis.key][local] = np.clip(np.clip(raw, *model.clip), eps, 1.0 - eps)
+                    preds[nuis.key][local] = np.clip(raw, eps, 1.0 - eps)
                 else:
                     preds[nuis.key][local] = model.predict(X)
         return preds, clip_events

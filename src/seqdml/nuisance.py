@@ -67,11 +67,12 @@ class LearnerSpec:
             value = getattr(self, name)
             if not (0.0 <= value < math.inf):
                 raise ParameterError(f"{name} must be a finite real >= 0, got {value}")
-        if not isinstance(self.n_rounds, numbers.Integral) or self.n_rounds < 0:
-            raise ParameterError(f"n_rounds must be an integer >= 0, got {self.n_rounds!r}")
-        # Negated, so that NaN, which would fit a model with no splits, fails too.
-        if not (self.max_depth >= 1 and self.min_leaf >= 1 and self.max_bins >= 2):
-            raise ParameterError("tree hyperparameters out of range")
+        # Integers only: max_depth=1.5 grows deeper trees, and max_bins=10.5 fails in the fit.
+        for name, low in (("n_rounds", 0), ("max_depth", 1), ("min_leaf", 1), ("max_bins", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ParameterError(f"tree hyperparameters out of range: {name} must be "
+                                     f"an integer >= {low}, got {value!r}")
         if not (0.0 <= self.learning_rate <= 1.0):
             raise ParameterError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
         if not (0.0 < self.clip < 0.5):

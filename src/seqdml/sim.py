@@ -304,6 +304,7 @@ def run_coverage(
         params = dgp_params or PartialIdDgpParams.from_seed(seed)
         truth = params.tau
 
+    config = StreamConfig(estimand=estimand, alpha=alpha, burn_in=burn_in)
     z_crit = float(norm.ppf(1.0 - alpha / 2.0))
     n_grid = len(grid)
     miss_cs = np.zeros((reps, n_grid))
@@ -321,7 +322,7 @@ def run_coverage(
             columns, _ = gen_late(n_max, params, seed=[seed, 1 + rep])
         else:
             columns, _ = gen_partial_id(n_max, params, seed=[seed, 1 + rep])
-        stream = Stream(StreamConfig(estimand=estimand, alpha=alpha, burn_in=burn_in, seed=seed))
+        stream = Stream(config)
         for j, n in enumerate(grid):
             stream.push_batch(*columns.rows(stream.n, n))
             try:
@@ -409,7 +410,6 @@ def run_pate_band(
             k_folds=k_folds,
             burn_in=burn_in,
             gamma=gamma,
-            seed=seed,
             gamma_spec=gamma_spec,
         )
 

@@ -100,6 +100,34 @@ class TestSimulate:
         assert code == 2
         assert "paired" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--dgp", "late", "--k-folds", "3"], "--k-folds applies to band mode only"),
+        (["--dgp", "partial-id", "--mode", "coverage", "--k-folds", "5"], "--k-folds applies"),
+        (["--dgp", "late", "--mode", "xyz"], "--mode must be 'coverage' or 'band'"),
+        (["--dgp", "late", "--mode", "band"], "band mode requires --dgp partial-id"),
+        (["--dgp", "partial-id", "--mode", "coverage", "--estimand", "late"], "paired"),
+    ])
+    def test_option_errors_leave_no_output_directory(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["simulate", "--reps", "1", "--n-max", "600", "--peek-every", "200",
+             "--out-dir", str(out)] + argv,
+            capsys,
+        )
+        assert code == 2
+        assert message in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_config_file_k_folds_is_refused_in_coverage_mode(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("dgp = late\nreps = 1\nk_folds = 5\n")
+        code, _, err = run_cli(
+            ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == 2
+        assert "--k-folds applies to band mode only" in err
+
     def test_deterministic_artifacts(self, tmp_path, capsys):
         args = ["simulate", "--dgp", "late", "--reps", "2", "--n-max", "600",
                 "--peek-every", "300", "--seed", "9"]
@@ -309,6 +337,16 @@ class TestMonitor:
         assert "k_folds" in err
         assert out == ""
 
+    def test_alpha_too_large_for_the_tuning_rule_is_a_usage_error(self, tmp_path, capsys):
+        data = write_ate_csv(tmp_path / "data.csv", n=300, seed=4)
+        for command in ("monitor", "diagnose"):
+            code, out, err = run_cli(
+                [command, "--input", str(data), "--estimand", "ate", "--alpha", "0.9"], capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("seqdml: error: alpha=0.9 is too large for the tuning rule")
+
     def test_out_dir_artifact_matches_stdout(self, tmp_path, capsys):
         data = write_ate_csv(tmp_path / "data.csv", seed=6)
         out_dir = tmp_path / "mon"
@@ -383,6 +421,27 @@ class TestDiagnose:
             assert code == 2
             assert out == ""
             assert err == f"seqdml: error: need 0 < c0 <= c1, got {shown}\n"
+
+
+    @pytest.mark.parametrize("option, message", [
+        (["--gamma", "0.5"], "gamma must be a real >= 1, got 0.5"),
+        (["--k-folds", "1"], "k_folds must be an integer >= 2, got 1"),
+        (["--alpha", "1.5"], "alpha must lie in (0, 1), got 1.5"),
+        (["--estimand", "bogus"],
+         "estimand must be one of ('ate', 'late', 'pate_lower', 'pate_upper', 'plr'), "
+         "got 'bogus'"),
+    ])
+    def test_bad_stream_options_are_rejected_before_the_input_is_read(
+        self, tmp_path, capsys, option, message
+    ):
+        data = write_ate_csv(tmp_path / "data.csv", n=300, seed=4)
+        for path in (data, tmp_path / "missing.csv"):
+            code, out, err = run_cli(
+                ["diagnose", "--input", str(path), "--estimand", "ate"] + option, capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"seqdml: error: {message}\n"
 
 
 class TestReport:

@@ -80,7 +80,7 @@ class TestPush:
 
     def test_push_after_stop_flagged(self):
         obs = observations_of(null_effect_columns(300, seed=3))
-        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=3))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100))
         for row in obs[:200]:
             stream.push(row)
         stream.peek()
@@ -114,8 +114,18 @@ class TestPush:
         with pytest.raises(ParameterError, match=field):
             StreamConfig(estimand="ate", **{field: value})
 
+    def test_alpha_must_suit_the_rho_tuning_rule(self):
+        # -2 log(alpha) + log(-2 log(alpha)) + 1 > 0 exactly for alpha < 0.8700259...
+        stream = Stream(StreamConfig(estimand="ate", alpha=0.87, burn_in=200))
+        assert stream.push_batch(*null_effect_columns(200, seed=3)).peek().n == 200
+        with pytest.raises(ParameterError, match=r"alpha=0\.8701 is too large"):
+            StreamConfig(estimand="ate", alpha=0.8701)
+        # A given rho needs no tuning, so any alpha in (0, 1) peeks.
+        stream = Stream(StreamConfig(estimand="ate", alpha=0.9, rho=0.1, burn_in=200))
+        assert stream.push_batch(*null_effect_columns(200, seed=3)).peek().n == 200
+
     def test_a_real_burn_in_still_peeks(self):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=500.0, seed=3))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=500.0))
         assert stream.push_batch(*null_effect_columns(500, seed=3)).peek().n == 500
 
     def test_non_finite_gamma_and_rho_rejected(self):
@@ -128,13 +138,14 @@ class TestPush:
     def test_learner_kinds_checked_per_role(self):
         cases = [
             ("pate_lower", {"gamma_spec": LearnerSpec(kind="ridge")}, "gamma_spec"),
-            ("pate_upper", {"nu_spec": LearnerSpec(kind="gbt")}, "nu_spec"),
             ("ate", {"outcome_spec": LearnerSpec(kind="logistic")}, "outcome_spec"),
         ]
         for estimand, specs, name in cases:
             # Rejected when the config is built, before any data or peek.
             with pytest.raises(ParameterError, match=name):
                 StreamConfig(estimand=estimand, **specs)
+        for retired in ("seed", "propensity_spec", "treatment_spec", "nu_spec"):
+            assert retired not in StreamConfig.__dataclass_fields__
         # A role the estimand does not use is not checked.
         StreamConfig(estimand="ate", gamma_spec=LearnerSpec(kind="ridge"))
         StreamConfig(estimand="plr", outcome_spec=LearnerSpec(kind="gbt"))
@@ -148,7 +159,7 @@ class TestPeek:
             stream.peek()
 
     def test_null_effect_stream(self):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=200, seed=1))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=200))
         stream.push_batch(*null_effect_columns(600, seed=1))
         point = stream.peek()
         assert abs(point.theta_hat) < 0.5
@@ -156,7 +167,7 @@ class TestPeek:
         assert point.lower == pytest.approx(point.theta_hat - point.sigma_hat * 0.0, abs=10)
 
     def test_double_peek_idempotent(self):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=2))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100))
         stream.push_batch(*null_effect_columns(250, seed=2))
         first = stream.peek()
         second = stream.peek()
@@ -166,7 +177,7 @@ class TestPeek:
     def test_late_stream_covers_truth_single_run(self):
         params = LateDgpParams.from_seed(7)
         columns, _ = gen_late(3000, params, seed=[7, 1])
-        stream = Stream(StreamConfig(estimand="late", burn_in=500, seed=7))
+        stream = Stream(StreamConfig(estimand="late", burn_in=500))
         for n in range(500, 3001, 500):
             stream.push_batch(*columns.rows(stream.n, n))
             point = stream.peek()
@@ -174,7 +185,7 @@ class TestPeek:
         assert len(stream.peek_log) == 6
 
     def test_rho_frozen_after_first_peek(self):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=4))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100))
         columns = null_effect_columns(500, seed=4)
         observations = observations_of(columns)
         stream.push_batch(*columns.rows(0, 100))
@@ -188,7 +199,7 @@ class TestPeek:
         assert stream.rho == tuned
 
     def test_refit_schedule_geometric(self):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=50, seed=5, refit_factor=2.0))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=50, refit_factor=2.0))
         observations = observations_of(null_effect_columns(450, seed=5))
         for i, obs in enumerate(observations):
             stream.push(obs)
@@ -199,7 +210,7 @@ class TestPeek:
         assert refit_ns == [50, 100, 200, 400]
 
     def test_degenerate_fold_defers_then_recovers(self):
-        config = StreamConfig(estimand="ate", k_folds=2, burn_in=2, rho=0.5, seed=6)
+        config = StreamConfig(estimand="ate", k_folds=2, burn_in=2, rho=0.5)
         stream = Stream(config)
         stream.push(Observation(y=1.0, a=1, x=(0.2,)))
         stream.push(Observation(y=2.0, a=1, x=(-0.1,)))
@@ -220,7 +231,7 @@ class TestPeek:
     def test_intersected_bounds_nested(self):
         params = LateDgpParams.from_seed(9)
         columns, _ = gen_late(2000, params, seed=[9, 1])
-        stream = Stream(StreamConfig(estimand="late", burn_in=250, seed=9))
+        stream = Stream(StreamConfig(estimand="late", burn_in=250))
         for n in range(250, 2001, 250):
             stream.push_batch(*columns.rows(stream.n, n))
             stream.peek()
@@ -235,7 +246,7 @@ class TestPeek:
         columns, _ = gen_late(1500, params, seed=[10, 1])
 
         def run():
-            stream = Stream(StreamConfig(estimand="late", burn_in=300, seed=10))
+            stream = Stream(StreamConfig(estimand="late", burn_in=300))
             for n in range(300, 1501, 300):
                 stream.push_batch(*columns.rows(stream.n, n))
                 stream.peek()
@@ -251,7 +262,7 @@ class TestPeek:
             stream.peek()
 
     def test_zero_variance_first_peek_defers(self):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=13))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100))
         rng = np.random.default_rng(13)
         for i in range(100):
             stream.push(Observation(y=2.0, a=i % 2, x=tuple(rng.normal(size=2))))
@@ -272,7 +283,7 @@ class TestPeek:
         x = rng.normal(size=(n, 2))
         a = (x[:, 0] + 0.05 * rng.normal(size=n) > 0).astype(int)
         y = a + x[:, 1] + rng.normal(size=n)
-        config = StreamConfig(estimand="ate", burn_in=100, seed=14)
+        config = StreamConfig(estimand="ate", burn_in=100)
         stream = Stream(config)
         stream.push_batch(y[:150], a[:150], x[:150])
         stream.peek()
@@ -298,7 +309,7 @@ class TestPeek:
         e = 1.0 / (1.0 + np.exp(-x[:, 0]))
         a = (rng.uniform(size=n) < e).astype(int)
         y = 2.0 * a + np.sin(x[:, 1]) + rng.normal(size=n)
-        stream = Stream(StreamConfig(estimand="plr", burn_in=200, seed=12))
+        stream = Stream(StreamConfig(estimand="plr", burn_in=200))
         for i in range(n):
             stream.push(Observation(y=float(y[i]), a=int(a[i]), x=tuple(x[i])))
         point = stream.peek()
@@ -371,7 +382,7 @@ class TestCheckStop:
 
 class TestNdjson:
     def test_field_names_and_order(self):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=13))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100))
         stream.push_batch(*null_effect_columns(200, seed=13))
         stream.peek()
         lines = stream.export_ndjson().splitlines()
@@ -390,7 +401,7 @@ def pate_streams(n, gamma, seed, n_rounds=40):
     def build(estimand):
         return Stream(
             StreamConfig(
-                estimand=estimand, burn_in=250, gamma=gamma, seed=seed, gamma_spec=spec
+                estimand=estimand, burn_in=250, gamma=gamma, gamma_spec=spec
             )
         )
 
@@ -439,7 +450,7 @@ class TestPateBand:
 
 class TestNuisanceEvals:
     def test_ate_evals_well_formed(self):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=18))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100))
         stream.push_batch(*null_effect_columns(150, seed=18))
         stream.peek()
         evals = stream.nuisance_evals()
@@ -477,7 +488,7 @@ def fitted_stream(estimand, gamma, n=300, seed=23, epsilon=0.01):
     """A peeked stream fed generated columns, and its rows as Observations."""
     columns = generated_columns(estimand, n, seed)
     config = StreamConfig(
-        estimand=estimand, burn_in=100, gamma=gamma, epsilon=epsilon, seed=seed,
+        estimand=estimand, burn_in=100, gamma=gamma, epsilon=epsilon,
         gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
     )
     stream = Stream(config).push_batch(*columns)
@@ -536,7 +547,7 @@ class TestOrthogonalityDerivatives:
 def poisoned_stream():
     """A fitted ATE stream whose fold 0 models claim to have been trained on
     fold 0's rows, which they will be asked to score."""
-    stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=11))
+    stream = Stream(StreamConfig(estimand="ate", burn_in=100))
     stream.push_batch(*null_effect_columns(120, seed=11))
     stream.peek()
     poisoned = dict(stream._fold_models[0])
@@ -577,7 +588,7 @@ class TestOnePredictionPass:
         seed = 31
         columns = generated_columns(estimand, 900, seed)
         stream = Stream(StreamConfig(
-            estimand=estimand, burn_in=100, gamma=1.5, seed=seed,
+            estimand=estimand, burn_in=100, gamma=1.5,
             gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
         ))
         refits = []
@@ -595,7 +606,7 @@ class TestOnePredictionPass:
         assert refits == [100, 200, 400, 800]
 
     def test_a_refit_predicts_each_row_once_per_nuisance(self, monkeypatch):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=18))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100))
         stream.push_batch(*null_effect_columns(250, seed=18))
         stream.peek()
         rows = {"ridge": 0, "probability": 0}
@@ -646,7 +657,7 @@ class TestOnePredictionPass:
             stream.orthogonality_derivatives()
 
     def test_holdout_rmse_is_recorded_once_per_refit(self, monkeypatch):
-        stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=20))
+        stream = Stream(StreamConfig(estimand="ate", burn_in=100))
         columns = null_effect_columns(260, seed=20)
         stream.push_batch(*columns.rows(0, 150)).peek()
         original, failed = ScoreMoments.centred, []

@@ -53,7 +53,6 @@ def stream_outputs(estimand: str) -> dict:
         burn_in=100,
         gamma=1.5,
         epsilon=0.2,  # large enough that the clip counter sees events
-        seed=5,
         outcome_spec=FEW_ROUNDS if estimand == "plr" else None,
         gamma_spec=FEW_ROUNDS,
     )

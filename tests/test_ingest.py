@@ -58,11 +58,11 @@ def random_plan(rng, n):
     return peeks, blocks
 
 
-def run_stream(estimand, pushes, peeks, seed):
+def run_stream(estimand, pushes, peeks):
     """Peek a stream at ``peeks`` after each call of ``pushes[j](stream)``;
     return (peek, fit) pairs and the stream."""
     config = StreamConfig(
-        estimand=estimand, burn_in=100, gamma=1.5, seed=seed,
+        estimand=estimand, burn_in=100, gamma=1.5,
         outcome_spec=FEW_ROUNDS if estimand == "plr" else None, gamma_spec=FEW_ROUNDS,
     )
     stream, record = Stream(config), []
@@ -98,9 +98,9 @@ def test_blocks_of_random_sizes_equal_per_row_pushes(estimand):
         return push
 
     starts = [0] + peeks[:-1]
-    want, oracle = run_stream(estimand, [per_row(a, b) for a, b in zip(starts, peeks)], peeks, seed)
+    want, oracle = run_stream(estimand, [per_row(a, b) for a, b in zip(starts, peeks)], peeks)
     got, stream = run_stream(
-        estimand, [in_blocks(a, sizes) for a, sizes in zip(starts, blocks)], peeks, seed
+        estimand, [in_blocks(a, sizes) for a, sizes in zip(starts, blocks)], peeks
     )
     assert any(len(sizes) > 1 for sizes in blocks)
     assert any(a < t < b for t in (200, 400) for a, b in zip(peeks, peeks[1:]))

@@ -257,7 +257,7 @@ def check_every_peek(stream, columns, peek_every, log):
 def test_every_peek_matches_oracle(estimand, monkeypatch):
     log = ScoreLog(monkeypatch)
     config = StreamConfig(
-        estimand=estimand, burn_in=100, gamma=1.5, seed=5,
+        estimand=estimand, burn_in=100, gamma=1.5,
         outcome_spec=FEW_ROUNDS if estimand == "plr" else None, gamma_spec=FEW_ROUNDS,
     )
     kinds = check_every_peek(Stream(config), generated_columns(estimand, 450, seed=21), 25, log)
@@ -268,7 +268,7 @@ def test_every_peek_matches_oracle(estimand, monkeypatch):
 
 def test_every_peek_matches_oracle_dml1(monkeypatch):
     log = ScoreLog(monkeypatch)
-    config = StreamConfig(estimand="late", burn_in=100, seed=6, dml_variant="dml1")
+    config = StreamConfig(estimand="late", burn_in=100, dml_variant="dml1")
     kinds = check_every_peek(Stream(config), generated_columns("late", 450, seed=22), 30, log)
     assert "centred" in kinds and "add" in kinds
 
@@ -283,7 +283,7 @@ def test_high_cancellation_stream(monkeypatch):
     x = rng.normal(size=(n, 2))
     a = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-0.5 * x[:, 0]))).astype(int)
     y = 1e5 * a + x[:, 1] + rng.normal(size=n)
-    stream = Stream(StreamConfig(estimand="ate", burn_in=150, seed=23))
+    stream = Stream(StreamConfig(estimand="ate", burn_in=150))
     kinds = check_every_peek(stream, Columns(y, a, x), 50, log)
     assert "add" in kinds
     psi_b = np.concatenate(log.psi_b)
@@ -343,7 +343,7 @@ def test_fold_sums_independent_of_blocks():
 
 def test_peek_folds_in_only_new_rows(monkeypatch):
     log = ScoreLog(monkeypatch)
-    stream = Stream(StreamConfig(estimand="ate", burn_in=100, seed=26))
+    stream = Stream(StreamConfig(estimand="ate", burn_in=100))
     rows = generated_columns("ate", 460, seed=26)
     stream.push_batch(*rows.rows(0, 100))
     stream.peek()  # refit at 100
@@ -488,7 +488,7 @@ def test_subnormal_pivot_solves_to_inf_on_both_paths(monkeypatch):
 def stream_record(estimand, variant, seed):
     """(CsPoint, DmlFit) at every peek of a stream that peeks every 25 rows."""
     config = StreamConfig(
-        estimand=estimand, burn_in=100, gamma=1.5, seed=seed, dml_variant=variant,
+        estimand=estimand, burn_in=100, gamma=1.5, dml_variant=variant,
         outcome_spec=FEW_ROUNDS if estimand == "plr" else None, gamma_spec=FEW_ROUNDS,
     )
     stream, record = Stream(config), []

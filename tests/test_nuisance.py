@@ -516,10 +516,25 @@ def test_penalty_must_be_finite_and_nonnegative(field, value):
     ({"max_depth": float("nan")}, "tree hyperparameters"),
     ({"min_leaf": float("nan")}, "tree hyperparameters"),
     ({"max_bins": float("nan")}, "tree hyperparameters"),
+    # A float depth of 1.5 would grow depth-2 trees, and max_bins=10.5 would fail in the fit.
+    ({"max_depth": 1.5}, "max_depth must be an integer"),
+    ({"max_depth": 2.0}, "max_depth must be an integer"),
+    ({"min_leaf": 20.5}, "min_leaf must be an integer"),
+    ({"max_bins": 10.5}, "max_bins must be an integer"),
+    ({"max_bins": 64.0}, "max_bins must be an integer"),
 ])
 def test_tree_settings_that_cannot_grow_a_tree_are_rejected(settings, message):
     with pytest.raises(ParameterError, match=message):
         LearnerSpec(kind="gbt", **settings)
+
+
+def test_numpy_integer_tree_settings_fit_the_same_model():
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(120, 2)), rng.normal(size=120)
+    settings = {"n_rounds": 5, "max_depth": 2, "min_leaf": 10, "max_bins": 16}
+    as_numpy = {name: np.int64(value) for name, value in settings.items()}
+    fit = lambda s: dump_model(fit_gbt(X, y, SquaredLoss(), LearnerSpec(kind="gbt", **s)))
+    assert fit(as_numpy) == fit(settings)
 
 
 class TestDumpLoad:

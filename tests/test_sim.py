@@ -169,7 +169,7 @@ def per_row_coverage(dgp, estimand, reps, n_max, peek_every, seed, burn_in,
         gen = gen_late if dgp == "late" else gen_partial_id
         columns, _ = gen(n_max, params, seed=[seed, 1 + rep])
         stream = Stream(StreamConfig(estimand=estimand, alpha=alpha, k_folds=5,
-                                     burn_in=burn_in, gamma=1.0, seed=seed))
+                                     burn_in=burn_in, gamma=1.0))
         grid_set = set(grid)
         cum_batch = 0.0
         prev_cs, prev_wcs, prev_wb = 0.0, math.nan, math.nan
