@@ -52,7 +52,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "dgp": (str, None),
         "mode": (str, None),
         "estimand": (str, None),
-        "reps": (int, 200),
+        "reps": (int, None),  # coverage mode only; unset means 200
         "n_max": (int, 5000),
         "peek_every": (int, 250),
         "burn_in": (int, None),
@@ -315,13 +315,18 @@ def _cmd_simulate(opts: dict) -> int:
         raise ParameterError("band mode requires --dgp partial-id")
     if mode == "coverage" and opts["k_folds"] is not None:
         raise ParameterError("--k-folds applies to band mode only; coverage runs use 5 folds")
+    for key in ("estimand", "reps"):
+        if mode == "band" and opts[key] is not None:
+            raise ParameterError(f"--{key} applies to coverage mode only; band mode runs "
+                                 "one pate_lower and one pate_upper stream")
     paired = "late" if dgp == "late" else "ate"  # the one estimand coverage mode runs
     estimand = opts["estimand"] or paired
-    if mode == "coverage" and estimand != paired:
+    if estimand != paired:
         raise ParameterError(f"estimand {estimand!r} cannot be paired with dgp {dgp!r}")
-    out_dir = _resolve_out_dir(opts["out_dir"])
     peek_every = opts["peek_every"]
     burn_in = opts["burn_in"] if opts["burn_in"] is not None else peek_every
+    sim._peek_grid(opts["n_max"], peek_every, burn_in)  # an empty grid writes nothing
+    out_dir = _resolve_out_dir(opts["out_dir"])
 
     if mode == "coverage":
         dgp_params = None
@@ -334,7 +339,7 @@ def _cmd_simulate(opts: dict) -> int:
         sim.run_coverage(
             dgp="late" if dgp == "late" else "partial_id",
             estimand=estimand,
-            reps=opts["reps"],
+            reps=200 if opts["reps"] is None else opts["reps"],
             n_max=opts["n_max"],
             peek_every=peek_every,
             alpha=opts["alpha"],

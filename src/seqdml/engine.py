@@ -30,10 +30,10 @@ from .errors import (
 )
 from .nuisance import (
     LearnerSpec,
+    _fit_nu_at,
     fit_g1_gamma,
     fit_gbt,
     fit_logistic,
-    fit_nu,
     fit_ridge,
     SquaredLoss,
 )
@@ -68,23 +68,29 @@ __all__ = [
 
 # The fit and score functions below look the learners and kernels up in this
 # module's globals when called, so wrappers installed there see every call.
+# A fit function returns the model and, where a later nuisance builds on it,
+# the model's predictions on its own training rows; ``base`` is those of the
+# nuisance it builds on.
 
 def _fit_outcome(spec: LearnerSpec, X, target, weight, base):
     if spec.kind == "ridge":
-        return fit_ridge(X, target, spec)
-    return fit_gbt(X, target, SquaredLoss(), spec)
+        return fit_ridge(X, target, spec), None
+    return fit_gbt(X, target, SquaredLoss(), spec), None
 
 
 def _fit_probability(spec: LearnerSpec, X, target, weight, base):
-    return fit_logistic(X, target, spec)
+    return fit_logistic(X, target, spec), None
 
 
 def _fit_gamma(spec: LearnerSpec, X, target, weight, base):
-    return fit_g1_gamma(X, target, weight, spec)
+    fitted = np.empty(target.size)
+    return fit_g1_gamma(X, target, weight, spec, fitted_values=fitted), fitted
 
 
 def _fit_nu(spec: LearnerSpec, X, target, weight, base):
-    return fit_nu(X, target, base, weight, spec)
+    # nu trains on its gamma model's own rows, so the gamma fit's training
+    # predictions are that model's predictions here.
+    return _fit_nu_at(X, target, base, weight, spec), None
 
 
 # role: (StreamConfig spec field, accepted learner kinds, fit function). The
@@ -137,7 +143,7 @@ class _Nuisance:
     subset: str  # training rows: "all", or a column and its value ("a1", "z0", ...)
     target: str | None
     side: str | None = None  # gamma and nu: the bound side that sets the loss weight
-    base: str | None = None  # nu: the gamma nuisance it splits y at
+    base: str | None = None  # nu: the gamma nuisance it splits y at, on the same subset
 
 
 @dataclass(frozen=True)
@@ -521,14 +527,18 @@ class Stream:
                 )
         weights = self._loss_weights()
         X = self._covariates(train_idx)
+        covariates: dict[str, np.ndarray] = {}  # by training subset, one copy each
+        fitted: dict[str, np.ndarray | None] = {}  # training predictions, by bundle key
         models: dict = {"fold": fold, "train_n": train_n}
         for nuis in est.nuisances:
             spec_name, _kinds, fit = _ROLES[nuis.role]
             spec = self._logistic if spec_name is None else getattr(cfg, spec_name)
             rows = self._subset(nuis.subset, cols)
-            models[nuis.key] = fit(
-                spec, X[rows], cols[nuis.target or "y"][rows],
-                weights.get(nuis.key), models.get(nuis.base),
+            if nuis.subset not in covariates:
+                covariates[nuis.subset] = X[rows]
+            models[nuis.key], fitted[nuis.key] = fit(
+                spec, covariates[nuis.subset], cols[nuis.target or "y"][rows],
+                weights.get(nuis.key), fitted.get(nuis.base),
             )
         return models
 

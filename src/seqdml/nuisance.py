@@ -241,9 +241,13 @@ FittedNuisance = Union[RidgeModel, LogisticModel, GbtModel, NuModel]
 # ---------------------------------------------------------------------------
 
 class BoostLoss(Protocol):
+    """A boosting loss. ``residual_leaf``'s ``cache`` is a dict that lives for
+    one fit, in which the loss may keep values that depend only on the fit's
+    constants and a leaf's size."""
+
     def init_value(self, y: np.ndarray) -> float: ...
     def gradient(self, y: np.ndarray, f: np.ndarray) -> np.ndarray: ...
-    def residual_leaf(self, resid: np.ndarray, rows: np.ndarray) -> float: ...
+    def residual_leaf(self, resid: np.ndarray, rows: np.ndarray, cache: dict | None = None) -> float: ...
 
 
 class SquaredLoss:
@@ -253,7 +257,7 @@ class SquaredLoss:
     def gradient(self, y, f):
         return 2.0 * (f - y)
 
-    def residual_leaf(self, resid, rows):
+    def residual_leaf(self, resid, rows, cache=None):
         return float(np.mean(resid[rows]))
 
 
@@ -271,8 +275,8 @@ class GammaRegressionLoss:
         resid = np.asarray(y) - f
         return np.where(resid > 0.0, -2.0, -2.0 * self.gamma) * resid
 
-    def residual_leaf(self, resid, rows):
-        return _gamma_constant_closed_form(resid, self.gamma, rows)
+    def residual_leaf(self, resid, rows, cache=None):
+        return _gamma_constant_closed_form(resid, self.gamma, rows, cache)
 
 
 def minimize_gamma_constant(values, gamma_weight: float, tol: float = 1e-9) -> float:
@@ -303,9 +307,15 @@ def minimize_gamma_constant(values, gamma_weight: float, tol: float = 1e-9) -> f
     return 0.5 * (lo + hi)
 
 
-def _gamma_constant_closed_form(residuals, gamma_weight: float, rows=slice(None)) -> float:
+def _gamma_constant_closed_form(
+    residuals, gamma_weight: float, rows=slice(None), denominators: dict | None = None
+) -> float:
     """Exact minimizer of sum (r-c)_+^2 + gamma (r-c)_-^2 over residuals[rows]
-    via sorted prefix sums."""
+    via sorted prefix sums.
+
+    ``denominators``, if given, keeps each sample size's (n - j) + gamma j at
+    this gamma, for the next solve of that size to reuse.
+    """
     r = np.asarray(residuals, dtype=float)[rows]
     n = r.size
     if n == 0:
@@ -317,8 +327,13 @@ def _gamma_constant_closed_form(residuals, gamma_weight: float, rows=slice(None)
     r = bounds[1:-1]
     prefix = np.zeros(n + 1)
     total = np.add.accumulate(r, out=prefix[1:])[-1]  # np.cumsum, with less overhead
-    j = np.arange(n + 1, dtype=float)
-    candidates = ((total - prefix) + gamma_weight * prefix) / ((n - j) + gamma_weight * j)
+    den = None if denominators is None else denominators.get(n)
+    if den is None:
+        j = np.arange(n + 1, dtype=float)
+        den = (n - j) + gamma_weight * j
+        if denominators is not None:
+            denominators[n] = den
+    candidates = ((total - prefix) + gamma_weight * prefix) / den
     valid = (candidates >= bounds[:-1] - 1e-12) & (candidates <= bounds[1:] + 1e-12)
     k = int(valid.argmax())
     if not valid[k]:  # numerical corner; fall back to bisection
@@ -436,6 +451,23 @@ def _bin_edges(col: np.ndarray, max_bins: int) -> np.ndarray:
     return np.unique(qs)
 
 
+class _Path:
+    """A tree node's place in one fit: its path of splits from the root.
+
+    The node's rows depend only on that path, and boosting rounds take the
+    same paths again and again. A path keeps its rows, its bin keys and split
+    counts once searched, and its children by split, so a node that recurs
+    skips the partition, the gather of its keys and the counting.
+    """
+
+    __slots__ = ("rows", "counts", "children")
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.counts = None  # _Bins.counts of the rows, once searched
+        self.children: dict[tuple[int, int], tuple[_Path, _Path]] = {}
+
+
 class _Bins:
     """Per-fit binning; feature j's bin b has key j * stride + b."""
 
@@ -446,19 +478,26 @@ class _Bins:
         self.stride = int(n_bins.max())
         codes = np.stack([np.searchsorted(e, X[:, j], side="left") for j, e in enumerate(self.edges)])
         self.keys = codes + (np.arange(self.d) * self.stride)[:, None]
-        self.root_keys = self.keys.ravel()
         # NumPy's pairwise sum depends on the length summed, so each feature's
         # total is taken over exactly its own bins, one group per bin count.
         self.groups = [(np.nonzero(n_bins == b)[0], b) for b in np.unique(n_bins) if b >= 2]
         self.uniform = bool((n_bins == self.stride).all())
-        self.root_counts = self._counts(self.root_keys, self.n)
         self.weights = np.empty(self.d * self.n)
 
-    def _counts(self, keys: np.ndarray, total_n: int):
-        """Rows left of each split, and the left and right counts floored at 1 as floats."""
+    def counts(self, rows: np.ndarray, min_leaf: int):
+        """The rows' bin keys, feature after feature; the rows left and right
+        of each split, floored at 1 as floats; and which splits leave
+        min_leaf rows on both sides.
+
+        From each feature's last bin on, the left count is every row, so the
+        mask also excludes those positions; whole rows stay contiguous.
+        """
+        total_n = rows.size
+        keys = self.keys.ravel() if total_n == self.n else self.keys.take(rows, axis=1).ravel()
         counts = np.bincount(keys, minlength=self.d * self.stride)
         n_left = counts.reshape(self.d, self.stride).cumsum(axis=1)
-        return n_left, np.maximum(n_left, 1.0), np.maximum(total_n - n_left, 1.0)
+        ok = (n_left >= min_leaf) & (n_left <= total_n - min_leaf)
+        return keys, np.maximum(n_left, 1.0), np.maximum(total_n - n_left, 1.0), ok
 
     def totals(self, sums: np.ndarray) -> np.ndarray:
         """Per-feature sum of a (d, stride) histogram over the feature's own bins."""
@@ -469,30 +508,24 @@ class _Bins:
             out[feats] = sums[feats, :bins].sum(axis=1)
         return out
 
-    def best_split(self, target: np.ndarray, rows: np.ndarray, min_leaf: int):
-        """Best (feature, bin) squared-error split of `target` over `rows`, or None.
+    def best_split(self, target: np.ndarray, path: _Path, min_leaf: int):
+        """Best (feature, bin) squared-error split of `target` over the path's
+        rows, or None. Split b sends bins 0..b left.
 
         Among near-equal gains the lowest feature index wins.
         """
         if not self.groups:
             return None
-        total_n = rows.size
+        rows, total_n = path.rows, path.rows.size
+        if path.counts is None:
+            path.counts = self.counts(rows, min_leaf)
+        keys, left_floor, right_floor, ok = path.counts
         weights = self.weights[: self.d * total_n]
-        if total_n == self.n:  # the root: every row, counts fixed for the fit
-            keys, (n_left, left_floor, right_floor) = self.root_keys, self.root_counts
-            weights.reshape(self.d, total_n)[:] = target
-        else:
-            keys = self.keys.take(rows, axis=1).ravel()
-            weights.reshape(self.d, total_n)[:] = target[rows]
-            n_left, left_floor, right_floor = self._counts(keys, total_n)
+        weights.reshape(self.d, total_n)[:] = target if total_n == self.n else target[rows]
         sums = np.bincount(keys, weights, self.d * self.stride).reshape(self.d, self.stride)
         s_total = self.totals(sums)
-        # Split b sends bins 0..b left. From each feature's last bin on,
-        # n_left == total_n, so `ok` excludes those positions along with the
-        # splits that leave a leaf too small; whole rows stay contiguous.
         s_left = sums.cumsum(axis=1)
         s_right = s_total[:, None] - s_left
-        ok = (n_left >= min_leaf) & (n_left <= total_n - min_leaf)
         score = np.where(ok, s_left**2 / left_floor + s_right**2 / right_floor, -np.inf)
         best_b = score.argmax(axis=1)
         best, best_gain = None, 0.0
@@ -513,13 +546,20 @@ class _Bins:
         return best
 
 
-def fit_gbt(X, y, loss: BoostLoss, spec: LearnerSpec) -> GbtModel:
+def fit_gbt(
+    X, y, loss: BoostLoss, spec: LearnerSpec, *, fitted_values: np.ndarray | None = None
+) -> GbtModel:
     """Gradient boosting with depth-limited regression trees and a pluggable loss.
 
     Each round fits a tree to the negative gradient (squared-error splits on
     binned features) and solves each leaf's constant against the actual loss
     over the round's residuals y - f, so the training loss cannot increase.
     A zero learning rate leaves the model at the loss-minimizing constant.
+
+    ``fitted_values``, if given, is a float array with one entry per row of
+    X that receives the final f: the model's predictions on X, equal to
+    ``predict(X)`` bit for bit, since both add the trees in fitted order and
+    a split's bin test and its threshold test send every row the same way.
     """
     X, y = _training_data(X, y, "fit_gbt")
     if X.shape[0] == 0:
@@ -534,7 +574,8 @@ def fit_gbt(X, y, loss: BoostLoss, spec: LearnerSpec) -> GbtModel:
     nodes, starts = [], []
     if lr > 0.0 and spec.n_rounds > 0:
         bins = _Bins(X, spec.max_bins)
-        all_rows, step = np.arange(bins.n), np.empty_like(f)
+        root, step = _Path(np.arange(bins.n)), np.empty_like(f)
+        leaf_cache: dict = {}  # the loss's, for this fit only
         for _ in range(spec.n_rounds):
             # The split search squares every sum, so the gradient splits the
             # rows exactly as the negative gradient would.
@@ -543,41 +584,51 @@ def fit_gbt(X, y, loss: BoostLoss, spec: LearnerSpec) -> GbtModel:
                 raise FitError("fit_gbt: non-finite gradient during boosting")
             resid = y - f
             starts.append(len(nodes))
-            # (rows, depth, parent row, its link slot); the left child pops first.
-            stack = [(all_rows, 0, None, 0)]
+            # (path, depth, parent row, its link slot); the left child pops first.
+            stack = [(root, 0, None, 0)]
             while stack:
-                rows, depth, parent, slot = stack.pop()
+                path, depth, parent, slot = stack.pop()
+                rows = path.rows
                 if parent is not None:
                     parent[slot] = len(nodes) - starts[-1]
                 node = [-1, 0.0, -1, -1, 0.0]
                 nodes.append(node)
                 split = None
                 if depth < spec.max_depth and rows.size >= 2 * spec.min_leaf:
-                    split = bins.best_split(grad, rows, spec.min_leaf)
+                    split = bins.best_split(grad, path, spec.min_leaf)
                 if split is None:
-                    node[4] = loss.residual_leaf(resid, rows)
+                    node[4] = loss.residual_leaf(resid, rows, leaf_cache)
                     step[rows] = lr * node[4]
                     continue
                 j, b = split
-                mask = bins.keys[j].take(rows) <= j * bins.stride + b
+                children = path.children.get(split)
+                if children is None:
+                    mask = bins.keys[j].take(rows) <= j * bins.stride + b
+                    children = path.children[split] = (_Path(rows[mask]), _Path(rows[~mask]))
                 node[:2] = j, float(bins.edges[j][b])
-                stack += [(rows[~mask], depth + 1, node, 3), (rows[mask], depth + 1, node, 2)]
+                stack += [(children[1], depth + 1, node, 3), (children[0], depth + 1, node, 2)]
             f += step
             if not np.isfinite(f).all():
                 raise FitError("fit_gbt: non-finite predictions during boosting")
+    if fitted_values is not None:
+        fitted_values[:] = f
     table = vars(_Tree.from_nodes(nodes)).values() if nodes else ()
     bounds = zip(starts, starts[1:] + [len(nodes)])
     trees = [_Tree(*(column[s:e] for column in table)) for s, e in bounds]
     return GbtModel(init_value=init, learning_rate=lr, trees=trees)
 
 
-def fit_g1_gamma(X, y, gamma: "GammaParam | float", spec: LearnerSpec) -> GbtModel:
+def fit_g1_gamma(
+    X, y, gamma: "GammaParam | float", spec: LearnerSpec, *,
+    fitted_values: np.ndarray | None = None,
+) -> GbtModel:
     """Asymmetric-loss regression for one arm's bound, on that arm's rows only.
 
     The effective weight is Gamma for a lower bound and 1/Gamma for an upper
-    bound; the caller passes whichever applies.
+    bound; the caller passes whichever applies. ``fitted_values`` is
+    :func:`fit_gbt`'s.
     """
-    return fit_gbt(X, y, GammaRegressionLoss(gamma), spec)
+    return fit_gbt(X, y, GammaRegressionLoss(gamma), spec, fitted_values=fitted_values)
 
 
 def fit_nu(
@@ -585,7 +636,12 @@ def fit_nu(
 ) -> NuModel:
     """Estimate nu(x) = P(y >= g1(x) | x) + gamma P(y < g1(x) | x) on one arm's rows."""
     X, y = _training_data(X, y, "fit_nu")
-    labels = (y >= g1_model.predict(X)).astype(float)
+    return _fit_nu_at(X, y, g1_model.predict(X), gamma, spec)
+
+
+def _fit_nu_at(X, y, g1_values: np.ndarray, gamma: "GammaParam | float", spec: LearnerSpec) -> NuModel:
+    """fit_nu, given g1's predictions on X."""
+    labels = (y >= g1_values).astype(float)
     return NuModel(prob_model=fit_logistic(X, labels, spec), gamma=_gamma_weight(gamma))
 
 

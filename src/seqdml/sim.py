@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .engine import BandPoint, CsPoint, Stream, StreamConfig, pate_band
 from .errors import NotReadyError, ParameterError
@@ -303,6 +302,10 @@ def run_coverage(
     else:
         params = dgp_params or PartialIdDgpParams.from_seed(seed)
         truth = params.tau
+
+    # Imported here, its only use: scipy.stats takes about half a second to
+    # import, which every CLI command and `import seqdml` would pay.
+    from scipy.stats import norm
 
     config = StreamConfig(estimand=estimand, alpha=alpha, burn_in=burn_in)
     z_crit = float(norm.ppf(1.0 - alpha / 2.0))

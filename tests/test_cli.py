@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqdml
 from seqdml import PartialIdDgpParams, gen_partial_id
 from seqdml.cli import main
 
@@ -44,6 +49,15 @@ def write_null_relevance_late_csv(path, n=600, seed=3):
     return path
 
 
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # Every command pays the import path; scipy.stats alone took about half
+    # a second, for the one norm.ppf of run_coverage, which imports it.
+    src = str(Path(seqdml.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    check = "import sys, seqdml.cli; sys.exit(int('scipy.stats' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", check], env=env, timeout=120).returncode == 0
+
+
 class TestSimulate:
     def test_late_row_count_contract(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -74,17 +88,15 @@ class TestSimulate:
     @pytest.mark.parametrize("dgp, extra", [
         ("partial-id", ["--n-max", "100", "--peek-every", "250"]),
         ("partial-id", ["--n-max", "1000", "--peek-every", "250", "--burn-in", "2000"]),
-        ("late", ["--n-max", "100", "--peek-every", "250"]),
+        ("late", ["--reps", "1", "--n-max", "100", "--peek-every", "250"]),
     ])
     def test_empty_peek_grid_is_a_usage_error(self, tmp_path, capsys, dgp, extra):
         out = tmp_path / "out"
-        code, stdout, err = run_cli(
-            ["simulate", "--dgp", dgp, "--reps", "1", "--out-dir", str(out)] + extra, capsys
-        )
+        code, stdout, err = run_cli(["simulate", "--dgp", dgp, "--out-dir", str(out)] + extra, capsys)
         assert code == 2
         assert "peek grid is empty" in err
         assert stdout == ""
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_dgp_is_usage_error(self, capsys):
         code, _, err = run_cli(["simulate", "--reps", "2"], capsys)
@@ -118,6 +130,30 @@ class TestSimulate:
         assert message in err
         assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--reps", "7"), ("--reps", "200"), ("--estimand", "late"), ("--estimand", "ate"),
+    ])
+    def test_coverage_options_are_refused_in_band_mode(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["simulate", "--dgp", "partial-id", "--n-max", "600", "--peek-every", "300",
+             flag, value, "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert f"{flag} applies to coverage mode only" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_config_file_reps_is_refused_in_band_mode(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("dgp = partial-id\nreps = 1\n")
+        code, _, err = run_cli(
+            ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == 2
+        assert "--reps applies to coverage mode only" in err
 
     def test_config_file_k_folds_is_refused_in_coverage_mode(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

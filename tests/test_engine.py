@@ -31,7 +31,7 @@ from seqdml.errors import (
     ParameterError,
     SyncError,
 )
-from seqdml.nuisance import GbtModel, LogisticModel, RidgeModel
+from seqdml.nuisance import GbtModel, LogisticModel, RidgeModel, dump_model, fit_nu
 from seqdml.scores import (
     GammaParam,
     NuisanceEval,
@@ -624,6 +624,29 @@ class TestOnePredictionPass:
         stream.push_batch(*null_effect_columns(160, seed=19))
         stream.peek()  # n = 410 is past the refit at 400
         assert rows == {"ridge": 2 * 410, "probability": 410}
+
+    def test_a_pate_refit_predicts_gbt_models_only_on_the_rows_it_scores(self, monkeypatch):
+        # nu splits y at its gamma model's predictions on their shared
+        # training rows, which the gamma fit already holds. The refit's GBT
+        # predicts are then the rescoring of every row by g_t and g_c, and the
+        # nu models equal those of fit_nu, which predicts the rows again.
+        columns = generated_columns("pate_lower", 300, seed=23)
+        stream = Stream(StreamConfig(
+            estimand="pate_lower", burn_in=300, gamma=1.5,
+            gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
+        )).push_batch(*columns)
+        rows, predict = [], GbtModel.predict
+        monkeypatch.setattr(GbtModel, "predict", lambda model, X: rows.append(len(X)) or predict(model, X))
+        stream.peek()
+        monkeypatch.undo()
+        assert sum(rows) == 2 * 300
+        for k, models in enumerate(stream._fold_models):
+            train = np.arange(300) % 5 != k
+            for nu, g, arm in (("nu_t", "g_t", 1.0), ("nu_c", "g_c", 0.0)):
+                sel = train & (columns.a == arm)
+                want = fit_nu(columns.X[sel], columns.y[sel], models[g], models[nu].gamma,
+                              stream._logistic)
+                assert dump_model(models[nu]) == dump_model(want)
 
     def test_pate_diagnostics_predict_only_the_treated_arm(self, monkeypatch):
         # The evals and their score read g_t, nu_t and e: the control arm's

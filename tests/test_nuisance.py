@@ -1,5 +1,6 @@
 """Learners: closed-form fixtures, grid-search oracles, determinism."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,8 +26,10 @@ from seqdml.nuisance import (
     NuModel,
     _bin_edges,
     _Bins,
+    _fit_nu_at,
     _gamma_constant_closed_form,
     _logistic_objective,
+    _Path,
     _PREDICT_BLOCK,
     _Tree,
 )
@@ -834,7 +837,7 @@ class TestFastGbtMatchesOracle:
         bins = _Bins(X, 255)
         # A stream's peek computes with NumPy's overflow warnings off.
         with np.errstate(over="ignore"), pytest.raises(FitError, match="split gain overflows"):
-            bins.best_split(target, np.arange(100), 1)
+            bins.best_split(target, _Path(np.arange(100)), 1)
 
     def test_too_few_covariates_rejected(self):
         X, y, spec = _fixture("mixed")
@@ -1017,6 +1020,24 @@ def gbt_corpus(count, seed=14):
         yield X, y, SquaredLoss() if weight is None else GammaRegressionLoss(weight), spec
 
 
+def repeated_split_corpus(count, seed=18):
+    """Seeded band-shaped (X, y, loss, spec) cases: one arm's rows, four
+    covariates and an outcome that steps on the first, so most rounds split
+    the root, and then its children, at the same places."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.choice([69, 85, 315, 331]))
+        X = rng.standard_normal((n, 4))
+        y = 3.0 * (X[:, 0] > 0.3) + 0.5 * X[:, 1] + rng.standard_normal(n)
+        spec = LearnerSpec(
+            kind="gbt",
+            n_rounds=int(rng.choice([50, 200])),
+            max_depth=int(rng.integers(1, 4)),
+            min_leaf=int(rng.choice([5, 20])),
+        )
+        yield X, y, GammaRegressionLoss(GAMMA_WEIGHTS[i % 4]), spec
+
+
 def gbt_outcome(fit, X, y, loss, spec):
     # The oracle's loss values overflow NumPy at the largest scales.
     with np.errstate(all="ignore"):
@@ -1033,6 +1054,59 @@ class TestFitGbtMatchesPriorOracle:
         trees = [o for o in outcomes if o.startswith("seqdml-model") and "n_trees = 0" not in o]
         assert len(trees) >= 100
         assert sum("split gain overflows" in o for o in outcomes) >= 10
+
+    def test_repeated_root_splits_bit_identical(self):
+        for X, y, loss, spec in repeated_split_corpus(12):
+            model = fit_gbt(X, y, loss, spec)
+            assert dump_model(model) == dump_model(prior_fit_gbt(X, y, loss, spec))
+            roots = {(int(t.feature[0]), float(t.threshold[0])) for t in model.trees}
+            assert len(roots) < spec.n_rounds // 2
+
+    def test_a_repeated_path_reuses_its_rows_and_counts(self, monkeypatch):
+        # A band refit's default learner on 331 rows of one arm.
+        rng = np.random.default_rng(331)
+        X = rng.standard_normal((331, 4))
+        y = X[:, 0] + 0.5 * X[:, 1] ** 2 + rng.standard_normal(331)
+        loss, spec = GammaRegressionLoss(1.8), LearnerSpec(kind="gbt")
+        searches, counted, made = [], [], []
+        best_split, counts, init = _Bins.best_split, _Bins.counts, _Path.__init__
+
+        def search(bins, target, path, min_leaf):
+            split = best_split(bins, target, path, min_leaf)
+            searches.append((path, split))
+            return split
+
+        monkeypatch.setattr(_Bins, "best_split", search)
+        monkeypatch.setattr(_Bins, "counts", lambda *args: counted.append(1) or counts(*args))
+        monkeypatch.setattr(_Path, "__init__", lambda path, rows: made.append(1) or init(path, rows))
+        model = fit_gbt(X, y, loss, spec)
+        assert dump_model(model) == dump_model(prior_fit_gbt(X, y, loss, spec))
+        # The split counts are taken once per path, and a node's rows are
+        # partitioned once per path and split.
+        paths = {id(path) for path, _ in searches}
+        splits = [(id(path), split) for path, split in searches if split is not None]
+        assert len(counted) == len(paths) < len(searches) // 4
+        assert len(made) == 1 + 2 * len(set(splits)) < len(splits)
+
+    def test_fitted_values_are_the_training_predictions(self):
+        # fitted_values is predict(X) bit for bit, so a nu fit on it is
+        # fit_nu's, which predicts the training rows again.
+        nu_spec = LearnerSpec(kind="logistic")
+        fits = 0
+        cases = itertools.chain(gbt_corpus(240), repeated_split_corpus(4, seed=19))
+        for X, y, loss, spec in cases:
+            fitted = np.full(len(y), np.nan)
+            try:
+                with np.errstate(all="ignore"):
+                    model = fit_gbt(X, y, loss, spec, fitted_values=fitted)
+            except FitError:
+                continue
+            assert np.array_equal(fitted, model.predict(X))
+            if isinstance(loss, GammaRegressionLoss):
+                got = fit_outcome(_fit_nu_at, X, y, fitted, loss.gamma, nu_spec)
+                assert got == fit_outcome(fit_nu, X, y, model, loss.gamma, nu_spec)
+            fits += 1
+        assert fits >= 150
 
     @pytest.mark.parametrize("case", ["init", "gradient", "leaf-fallback"])
     def test_extreme_outcomes_bit_identical(self, case, monkeypatch):
@@ -1075,6 +1149,8 @@ class TestFitGbtMatchesPriorOracle:
         monkeypatch.setattr("seqdml.nuisance.minimize_gamma_constant",
                             lambda *args: fallbacks.append(1) or minimize_gamma_constant(*args))
         rng = np.random.default_rng(41)
+        # Denominators kept by sample size, one dict per gamma, as a fit keeps them.
+        kept = {gamma: {} for gamma in GAMMA_WEIGHTS}
         for scale in (1e-14, 1e-10, 1.0, 1e7, 1e154, 1e307):
             for _ in range(40):
                 r = scale * rng.standard_normal(int(rng.integers(0, 60)))
@@ -1083,9 +1159,12 @@ class TestFitGbtMatchesPriorOracle:
                 with np.errstate(all="ignore"):
                     want = prior_gamma_constant_closed_form(r, gamma)
                     assert _gamma_constant_closed_form(r, gamma) == want
-                    assert GammaRegressionLoss(gamma).residual_leaf(r, rows) == (
-                        prior_gamma_constant_closed_form(r[rows], gamma))
+                    assert _gamma_constant_closed_form(r, gamma, slice(None), kept[gamma]) == want
+                    want = prior_gamma_constant_closed_form(r[rows], gamma)
+                    assert GammaRegressionLoss(gamma).residual_leaf(r, rows) == want
+                    assert GammaRegressionLoss(gamma).residual_leaf(r, rows, kept[gamma]) == want
         assert len(fallbacks) >= 10
+        assert all(kept.values())
 
     def test_loss_wrappers_match_the_old_arithmetic(self):
         rng = np.random.default_rng(42)
