@@ -51,15 +51,14 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     "simulate": {
         "dgp": (str, None),
         "mode": (str, None),
-        "estimand": (str, None),
         "reps": (int, None),  # coverage mode only; unset means 200
         "n_max": (int, 5000),
         "peek_every": (int, 250),
         "burn_in": (int, None),
         "alpha": (float, 0.05),
         "seed": (int, 0),
-        "gamma": (float, None),
-        "tau": (float, -0.5),
+        "gamma": (float, None),  # partial-id only; unset means exp(0.6), or 1 in coverage
+        "tau": (float, None),  # partial-id only; unset means -0.5
         "k_folds": (int, None),  # band mode only; unset means 5
         "out_dir": (str, None),
     },
@@ -304,6 +303,14 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _write_rows(path: Path, rows: list[tuple]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "n", "cum_miscoverage", "mean_width"])
+        for row in rows:
+            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
+
+
 def _cmd_simulate(opts: dict) -> int:
     dgp = opts["dgp"]
     if dgp not in ("late", "partial-id"):
@@ -315,30 +322,25 @@ def _cmd_simulate(opts: dict) -> int:
         raise ParameterError("band mode requires --dgp partial-id")
     if mode == "coverage" and opts["k_folds"] is not None:
         raise ParameterError("--k-folds applies to band mode only; coverage runs use 5 folds")
-    for key in ("estimand", "reps"):
-        if mode == "band" and opts[key] is not None:
-            raise ParameterError(f"--{key} applies to coverage mode only; band mode runs "
-                                 "one pate_lower and one pate_upper stream")
-    paired = "late" if dgp == "late" else "ate"  # the one estimand coverage mode runs
-    estimand = opts["estimand"] or paired
-    if estimand != paired:
-        raise ParameterError(f"estimand {estimand!r} cannot be paired with dgp {dgp!r}")
+    if mode == "band" and opts["reps"] is not None:
+        raise ParameterError("--reps applies to coverage mode only; band mode runs "
+                             "one pate_lower and one pate_upper stream")
+    for key in ("gamma", "tau"):
+        if dgp == "late" and opts[key] is not None:
+            raise ParameterError(f"--{key} applies to --dgp partial-id only")
     peek_every = opts["peek_every"]
     burn_in = opts["burn_in"] if opts["burn_in"] is not None else peek_every
-    sim._peek_grid(opts["n_max"], peek_every, burn_in)  # an empty grid writes nothing
-    out_dir = _resolve_out_dir(opts["out_dir"])
+    tau = -0.5 if opts["tau"] is None else opts["tau"]
+    # The output directory is created only once the run has returned, so a
+    # run that fails creates nothing.
 
     if mode == "coverage":
-        dgp_params = None
-        if dgp == "partial-id":
-            dgp_params = sim.PartialIdDgpParams.from_seed(
-                opts["seed"],
-                tau=opts["tau"],
-                gamma_data=opts["gamma"] if opts["gamma"] is not None else 1.0,
-            )
-        sim.run_coverage(
+        dgp_params = None if dgp == "late" else sim.PartialIdDgpParams.from_seed(
+            opts["seed"], tau=tau, gamma_data=1.0 if opts["gamma"] is None else opts["gamma"]
+        )
+        result = sim.run_coverage(
             dgp="late" if dgp == "late" else "partial_id",
-            estimand=estimand,
+            estimand="late" if dgp == "late" else "ate",
             reps=200 if opts["reps"] is None else opts["reps"],
             n_max=opts["n_max"],
             peek_every=peek_every,
@@ -346,16 +348,19 @@ def _cmd_simulate(opts: dict) -> int:
             seed=opts["seed"],
             burn_in=burn_in,
             dgp_params=dgp_params,
-            out_dir=out_dir,
-            keep_logs=False,
         )
+        out_dir = _resolve_out_dir(opts["out_dir"])
+        (out_dir / "peeks").mkdir(exist_ok=True)
+        for rep, log in enumerate(result.peek_logs):
+            text = "".join(point.to_json() + "\n" for point in log)
+            (out_dir / "peeks" / f"rep_{rep:04d}.ndjson").write_text(text)
+        _write_rows(out_dir / "results.csv", result.per_rep_rows())
+        _write_rows(out_dir / "curves.csv", result.aggregate_rows())
         print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'curves.csv'}")
         return 0
 
     gamma_data = opts["gamma"] if opts["gamma"] is not None else math.exp(0.6)
-    params = sim.PartialIdDgpParams.from_seed(
-        opts["seed"], tau=opts["tau"], gamma_data=gamma_data
-    )
+    params = sim.PartialIdDgpParams.from_seed(opts["seed"], tau=tau, gamma_data=gamma_data)
     result = sim.run_pate_band(
         n_max=opts["n_max"],
         peek_every=peek_every,
@@ -366,7 +371,7 @@ def _cmd_simulate(opts: dict) -> int:
         dgp_params=params,
         k_folds=5 if opts["k_folds"] is None else opts["k_folds"],
     )
-    band_path = out_dir / "band.csv"
+    band_path = _resolve_out_dir(opts["out_dir"]) / "band.csv"
     with open(band_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "lower_band", "upper_band"])

@@ -9,10 +9,8 @@ configuration change, not a code change.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +18,7 @@ import numpy as np
 from .engine import BandPoint, CsPoint, Stream, StreamConfig, pate_band
 from .errors import NotReadyError, ParameterError
 from .nuisance import LearnerSpec
+from .scores import GammaParam
 
 __all__ = [
     "Columns",
@@ -52,8 +51,9 @@ class PartialIdDgpParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma_data < 1.0:
-            raise ParameterError(f"gamma_data must be >= 1, got {self.gamma_data}")
+        GammaParam(self.gamma_data)  # a finite real >= 1, the rule StreamConfig's gamma follows
+        if not math.isfinite(self.tau):
+            raise ParameterError(f"tau must be finite, got {self.tau}")
         if len(self.mu) != self.d or len(self.beta) != self.d:
             raise ParameterError("mu and beta must have length d")
 
@@ -247,14 +247,6 @@ class CoverageResult:
         return rows
 
 
-def _write_rows(path: Path, rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "n", "cum_miscoverage", "mean_width"])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
-
-
 def _peek_grid(n_max: int, peek_every: int, burn_in: int | None) -> tuple[list[int], int]:
     """The peek sizes, the multiples of peek_every up to n_max from burn_in
     on, and the burn-in, which defaults to peek_every."""
@@ -278,7 +270,6 @@ def run_coverage(
     seed: int = 0,
     burn_in: int | None = None,
     dgp_params=None,
-    out_dir: str | Path | None = None,
     keep_logs: bool = True,
 ) -> CoverageResult:
     """Monte Carlo cumulative miscoverage of the confidence sequence vs a
@@ -315,10 +306,6 @@ def run_coverage(
     width_cs = np.full((reps, n_grid), math.nan)
     width_batch = np.full((reps, n_grid), math.nan)
     peek_logs: list[list[CsPoint]] = []
-    out_path = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        (out_path / "peeks").mkdir(parents=True, exist_ok=True)
 
     for rep in range(reps):
         if dgp == "late":
@@ -346,21 +333,14 @@ def run_coverage(
         np.maximum.accumulate(miss_batch[rep], out=miss_batch[rep])
         if keep_logs:
             peek_logs.append(list(stream.peek_log))
-        if out_path is not None:
-            log_file = out_path / "peeks" / f"rep_{rep:04d}.ndjson"
-            log_file.write_text(stream.export_ndjson())
 
-    result = CoverageResult(
+    return CoverageResult(
         ns=np.array(grid),
         truth=truth,
         miss={METHOD_ASYMPCS: miss_cs, METHOD_BATCH: miss_batch},
         width={METHOD_ASYMPCS: width_cs, METHOD_BATCH: width_batch},
         peek_logs=peek_logs,
     )
-    if out_path is not None:
-        _write_rows(out_path / "results.csv", result.per_rep_rows())
-        _write_rows(out_path / "curves.csv", result.aggregate_rows())
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import seqdml
-from seqdml import PartialIdDgpParams, gen_partial_id
+from seqdml import PartialIdDgpParams, gen_partial_id, run_coverage
 from seqdml.cli import main
 
 
@@ -61,16 +61,52 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 class TestSimulate:
     def test_late_row_count_contract(self, tmp_path, capsys):
         out = tmp_path / "out"
-        code, _, _ = run_cli(
+        code, stdout, _ = run_cli(
             ["simulate", "--dgp", "late", "--reps", "3", "--n-max", "1000",
              "--peek-every", "250", "--alpha", "0.05", "--seed", "7",
              "--out-dir", str(out)],
             capsys,
         )
         assert code == 0
+        assert stdout == f"wrote {out / 'results.csv'} and {out / 'curves.csv'}\n"
+        header = "method,n,cum_miscoverage,mean_width"
         rows = (out / "results.csv").read_text().splitlines()
         # 3 reps x (1000/250) grid points per method, two methods, one header
+        assert rows[0] == header
         assert len(rows) == 1 + 2 * 3 * 4
+        curves = list(csv.reader((out / "curves.csv").read_text().splitlines()))
+        assert ",".join(curves[0]) == header
+        assert [(row[0], int(row[1])) for row in curves[1:]] == [
+            (method, n) for method in ("asympcs", "batch") for n in (250, 500, 750, 1000)
+        ]
+        assert all(0.0 <= float(row[2]) <= 1.0 and float(row[3]) > 0 for row in curves[1:])
+        logs = sorted((out / "peeks").iterdir())
+        assert [log.name for log in logs] == [f"rep_{rep:04d}.ndjson" for rep in range(3)]
+        for log in logs:
+            records = [json.loads(line) for line in log.read_text().splitlines()]
+            assert [r["n"] for r in records] == [250, 500, 750, 1000]
+
+    def test_partial_id_coverage_artifacts_equal_run_coverage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            ["simulate", "--dgp", "partial-id", "--mode", "coverage", "--reps", "2",
+             "--n-max", "600", "--peek-every", "300", "--seed", "4", "--gamma", "1.5",
+             "--tau", "0.25", "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        result = run_coverage(
+            dgp="partial_id", estimand="ate", reps=2, n_max=600, peek_every=300, seed=4,
+            dgp_params=PartialIdDgpParams.from_seed(4, tau=0.25, gamma_data=1.5),
+        )
+        assert result.truth == 0.25
+        for name, rows in (("results.csv", result.per_rep_rows()),
+                           ("curves.csv", result.aggregate_rows())):
+            written = list(csv.reader((out / name).read_text().splitlines()))[1:]
+            assert written == [[m, str(n), repr(miss), repr(width)] for m, n, miss, width in rows]
+        for rep, log in enumerate(result.peek_logs):
+            text = (out / "peeks" / f"rep_{rep:04d}.ndjson").read_text()
+            assert text == "".join(point.to_json() + "\n" for point in log)
 
     def test_band_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "band"
@@ -98,32 +134,64 @@ class TestSimulate:
         assert stdout == ""
         assert not out.exists()
 
-    def test_missing_dgp_is_usage_error(self, capsys):
-        code, _, err = run_cli(["simulate", "--reps", "2"], capsys)
+    def test_missing_dgp_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run_cli(["simulate", "--reps", "2", "--out-dir", str(out)], capsys)
         assert code == 2
         assert "--dgp" in err
+        assert not out.exists()
 
-    def test_invalid_pairing(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["simulate", "--dgp", "late", "--mode", "coverage", "--estimand", "ate",
-             "--out-dir", str(tmp_path / "x")],
-            capsys,
+    @pytest.mark.parametrize("argv", [
+        ["--dgp", "late", "--mode", "coverage", "--estimand", "ate"],
+        ["--dgp", "partial-id", "--mode", "coverage", "--estimand", "late"],
+        ["--dgp", "partial-id", "--estimand", "late"],
+        ["--dgp", "partial-id", "--estimand", "ate"],
+    ], ids=["late-coverage-ate", "partial-id-coverage-late", "band-late", "band-ate"])
+    def test_estimand_is_not_an_option(self, tmp_path, capsys, argv):
+        # Each DGP runs one estimand, so --estimand could only repeat it.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n-max", "600", "--peek-every", "300",
+                  "--out-dir", str(out)] + argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --estimand" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_estimand_is_an_unknown_key(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("dgp = late\nestimand = late\n")
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["simulate", "--config", str(config), "--out-dir", str(out)], capsys
         )
         assert code == 2
-        assert "paired" in err
+        assert f"{config}:2: unknown config key 'estimand'" in err
+        assert stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--dgp", "late", "--k-folds", "3"], "--k-folds applies to band mode only"),
         (["--dgp", "partial-id", "--mode", "coverage", "--k-folds", "5"], "--k-folds applies"),
         (["--dgp", "late", "--mode", "xyz"], "--mode must be 'coverage' or 'band'"),
         (["--dgp", "late", "--mode", "band"], "band mode requires --dgp partial-id"),
-        (["--dgp", "partial-id", "--mode", "coverage", "--estimand", "late"], "paired"),
+        (["--dgp", "late", "--gamma", "2"], "--gamma applies to --dgp partial-id only"),
+        (["--dgp", "late", "--tau", "7"], "--tau applies to --dgp partial-id only"),
+        (["--dgp", "late", "--reps", "0"], "reps must be >= 1, got 0"),
+        (["--dgp", "late", "--alpha", "1.5"], "alpha must lie in (0, 1), got 1.5"),
+        (["--dgp", "partial-id", "--gamma", "0.5"], "gamma must be a real >= 1, got 0.5"),
+        (["--dgp", "partial-id", "--gamma", "nan"], "gamma must be a real >= 1, got nan"),
+        (["--dgp", "partial-id", "--mode", "coverage", "--gamma", "inf"],
+         "gamma must be a real >= 1, got inf"),
+        (["--dgp", "partial-id", "--tau", "nan"], "tau must be finite, got nan"),
+        (["--dgp", "partial-id", "--mode", "coverage", "--tau=-inf"],
+         "tau must be finite, got -inf"),
     ])
     def test_option_errors_leave_no_output_directory(self, tmp_path, capsys, argv, message):
+        # Some of these are caught by the runners or the DGP parameters,
+        # after the CLI's own checks; none creates the output directory.
         out = tmp_path / "out"
         code, stdout, err = run_cli(
-            ["simulate", "--reps", "1", "--n-max", "600", "--peek-every", "200",
-             "--out-dir", str(out)] + argv,
+            ["simulate", "--n-max", "600", "--peek-every", "200", "--out-dir", str(out)] + argv,
             capsys,
         )
         assert code == 2
@@ -131,9 +199,7 @@ class TestSimulate:
         assert stdout == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--reps", "7"), ("--reps", "200"), ("--estimand", "late"), ("--estimand", "ate"),
-    ])
+    @pytest.mark.parametrize("flag, value", [("--reps", "7"), ("--reps", "200")])
     def test_coverage_options_are_refused_in_band_mode(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         code, stdout, err = run_cli(
@@ -149,20 +215,30 @@ class TestSimulate:
     def test_config_file_reps_is_refused_in_band_mode(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("dgp = partial-id\nreps = 1\n")
-        code, _, err = run_cli(
-            ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")], capsys
-        )
+        out = tmp_path / "out"
+        code, _, err = run_cli(["simulate", "--config", str(config), "--out-dir", str(out)], capsys)
         assert code == 2
         assert "--reps applies to coverage mode only" in err
+        assert not out.exists()
 
     def test_config_file_k_folds_is_refused_in_coverage_mode(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("dgp = late\nreps = 1\nk_folds = 5\n")
-        code, _, err = run_cli(
-            ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")], capsys
-        )
+        out = tmp_path / "out"
+        code, _, err = run_cli(["simulate", "--config", str(config), "--out-dir", str(out)], capsys)
         assert code == 2
         assert "--k-folds applies to band mode only" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["gamma = 2", "tau = 7"])
+    def test_config_file_dgp_parameters_are_refused_for_late(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"dgp = late\nreps = 1\n{line}\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli(["simulate", "--config", str(config), "--out-dir", str(out)], capsys)
+        assert code == 2
+        assert f"--{line.split()[0]} applies to --dgp partial-id only" in err
+        assert not out.exists()
 
     def test_deterministic_artifacts(self, tmp_path, capsys):
         args = ["simulate", "--dgp", "late", "--reps", "2", "--n-max", "600",
@@ -188,9 +264,11 @@ class TestSimulate:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("dgp = late\nbogus_key = 1\n")
-        code, _, err = run_cli(["simulate", "--config", str(config)], capsys)
+        out = tmp_path / "out"
+        code, _, err = run_cli(["simulate", "--config", str(config), "--out-dir", str(out)], capsys)
         assert code == 2
         assert "bogus_key" in err
+        assert not out.exists()
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "from_env"
@@ -309,9 +387,11 @@ class TestMonitor:
         config = tmp_path / "stop.cfg"
         config.write_text("stop_width = 0.5\n")
         argv = [str(config) if arg == "{stop_width_cfg}" else arg for arg in argv]
-        extra = ["--input", str(data)] if argv[0] == "monitor" else ["--out-dir", str(tmp_path)]
+        out_dir = tmp_path / "out"
+        extra = ["--input", str(data)] if argv[0] == "monitor" else ["--out-dir", str(out_dir)]
         code, out, err = run_cli(argv + extra, capsys)
         assert code == 2
+        assert not out_dir.exists()
         assert err.startswith("seqdml: error:")
         if "width_below" not in argv and ("--stop-width" in argv or "--config" in argv):
             assert "--stop-width" in err and "--stop-rule" in err
@@ -414,6 +494,15 @@ class TestDiagnose:
         assert code == 0
         assert "identification: FAIL" in out
 
+    def test_constant_instrument_fails(self, tmp_path, capsys):
+        data = tmp_path / "z1.csv"
+        data.write_text("y,a,z,x1\n" + "".join(f"{i % 3}.5,{i % 2},1,0.{i}\n" for i in range(40)))
+        code, out, _ = run_cli(
+            ["diagnose", "--input", str(data), "--estimand", "late"], capsys
+        )
+        assert code == 0
+        assert out == "diagnose: estimand=late n=40\nidentification: FAIL (instrument is constant)\n"
+
     def test_null_relevance_instrument_fails(self, tmp_path, capsys):
         data = write_null_relevance_late_csv(tmp_path / "weak.csv")
         code, out, _ = run_cli(
@@ -491,6 +580,36 @@ class TestReport:
         code, text, _ = run_cli(["report", "--out-dir", str(out)], capsys)
         assert code == 0
         assert "asympcs" in text and "batch" in text
+
+    def test_report_on_band_output(self, tmp_path, capsys):
+        out = tmp_path / "band"
+        code, _, _ = run_cli(
+            ["simulate", "--dgp", "partial-id", "--n-max", "600", "--peek-every", "300",
+             "--seed", "3", "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 0
+        last = list(csv.DictReader((out / "band.csv").read_text().splitlines()))[-1]
+        lower, upper = float(last["lower_band"]), float(last["upper_band"])
+        code, text, _ = run_cli(["report", "--out-dir", str(out)], capsys)
+        assert code == 0
+        assert text == (f"band: final n=600 interval=[{lower:.4f}, {upper:.4f}] "
+                        f"width={upper - lower:.4f}\n")
+
+    def test_report_on_monitor_output(self, tmp_path, capsys):
+        data = write_ate_csv(tmp_path / "data.csv", seed=6)
+        out = tmp_path / "mon"
+        code, _, _ = run_cli(
+            ["monitor", "--input", str(data), "--estimand", "ate",
+             "--burn-in", "200", "--peek-every", "100", "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 0
+        last = json.loads((out / "peeks.ndjson").read_text().splitlines()[-2])
+        code, text, _ = run_cli(["report", "--out-dir", str(out)], capsys)
+        assert code == 0
+        assert text == (f"monitor: 3 peeks, final n=400 interval="
+                        f"[{last['lower_int']:.4f}, {last['upper_int']:.4f}]\n")
 
     def test_missing_directory(self, tmp_path, capsys):
         code, _, err = run_cli(["report", "--out-dir", str(tmp_path / "nope")], capsys)

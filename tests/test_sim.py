@@ -61,6 +61,16 @@ class TestPartialIdDgp:
         with pytest.raises(ParameterError):
             PartialIdDgpParams.from_seed(0, gamma_data=0.9)
 
+    @pytest.mark.parametrize("gamma_data", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma_data):
+        with pytest.raises(ParameterError, match=f"gamma must be a real >= 1, got {gamma_data}"):
+            PartialIdDgpParams.from_seed(0, gamma_data=gamma_data)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ParameterError, match=f"tau must be finite, got {tau}"):
+            PartialIdDgpParams.from_seed(0, tau=tau)
+
 
 class TestLateDgp:
     def test_monotone_potential_treatments(self):
@@ -108,20 +118,20 @@ class TestRunCoverage:
             per_rep = result.miss[method]
             assert np.all(np.diff(per_rep, axis=1) >= 0)
 
-    def test_artifacts_written(self, tmp_path):
+    def test_artifacts_written(self):
+        # the rows and peek logs that `seqdml simulate` writes to results.csv,
+        # curves.csv and peeks/rep_*.ndjson
         reps, n_max, peek_every = 3, 1000, 250
-        run_coverage(
+        result = run_coverage(
             dgp="late", estimand="late", reps=reps, n_max=n_max,
-            peek_every=peek_every, seed=13, out_dir=tmp_path,
+            peek_every=peek_every, seed=13,
         )
-        results = (tmp_path / "results.csv").read_text().splitlines()
         grid_points = n_max // peek_every
-        assert results[0] == "method,n,cum_miscoverage,mean_width"
-        assert len(results) == 1 + 2 * reps * grid_points
-        curves = (tmp_path / "curves.csv").read_text().splitlines()
-        assert len(curves) == 1 + 2 * grid_points
-        logs = sorted((tmp_path / "peeks").glob("rep_*.ndjson"))
-        assert len(logs) == reps
+        assert len(result.per_rep_rows()) == 2 * reps * grid_points
+        assert len(result.aggregate_rows()) == 2 * grid_points
+        assert len(result.peek_logs) == reps
+        for log in result.peek_logs:
+            assert [point.n for point in log] == [250, 500, 750, 1000]
 
     def test_partial_id_with_no_confounding_covers(self):
         # gamma_data = 1 makes assignment ignorable, so the plain doubly
