@@ -29,6 +29,8 @@ from .errors import (
     SyncError,
 )
 from .nuisance import (
+    GbtForest,
+    GbtModel,
     LearnerSpec,
     _fit_nu_at,
     fit_g1_gamma,
@@ -407,6 +409,7 @@ class Stream:
         # One row per observation: y, a, z (NaN when absent), then x.
         self._rows: _GrowArray | None = None
         self._fold_models: list[dict] | None = None
+        self._forests: dict[str, GbtForest] = {}  # the fold models of each GBT key, stacked
         self._next_refit: int | None = None
         # Score moments of the rows scored since the last refit; None until
         # the first peek after a refit rescores every row.
@@ -567,9 +570,11 @@ class Stream:
 
     def _refit(self, n: int) -> None:
         bundles = [self._fit_fold(k, n) for k in range(self.config.k_folds)]
+        forests = {key: GbtForest([models[key] for models in bundles])
+                   for key, model in bundles[0].items() if isinstance(model, GbtModel)}
         # Swap in only after every fold fit succeeded, so a deferred peek
         # leaves the previous models usable.
-        self._fold_models = bundles
+        self._fold_models, self._forests = bundles, forests
         self._moments = None  # every row is rescored by the new models
         factor = self.config.refit_factor
         threshold = float(self.config.burn_in)
@@ -584,27 +589,33 @@ class Stream:
         start..n-1, by bundle key, each row from its own fold's models; and
         the number of propensity clip events among them.
 
-        Propensities are clipped to [epsilon, 1 - epsilon]. The events are
-        counted against the unclipped probability: the model's own clip
+        A GBT key is one walk of its fold forest, the other keys go fold by
+        fold. Propensities are clipped to [epsilon, 1 - epsilon]. The events
+        are counted against the unclipped probability: the model's own clip
         equals epsilon and would hide every event.
         """
         if self._fold_models is None:
             raise NotReadyError("nuisances have not been fit yet; peek first")
         k_folds, eps = self.config.k_folds, self.config.epsilon
         rows = np.arange(start, n)
-        preds = {key: np.empty(n - start) for key in keys}
-        nuisances = [nuis for nuis in self._estimand.nuisances if nuis.key in preds]
+        folds = rows % k_folds
+        # Out-of-fold purity: each bundle was trained on the rows below its
+        # train_n outside its fold, and must never score one of them.
+        train_n, own = np.array([(m["train_n"], m["fold"]) for m in self._fold_models]).T
+        trained = folds[(rows < train_n[folds]) & (folds != own[folds])]
+        if trained.size:
+            raise AssertionError(f"fold {trained.min()} models would score rows they were trained on")
+        X = self._covariates(rows) if self._forests.keys() & keys else None
+        preds = {key: self._forests[key].predict(X, folds) for key in keys if key in self._forests}
+        nuisances = [nuis for nuis in self._estimand.nuisances
+                     if nuis.key in keys and nuis.key not in preds]
+        preds.update((nuis.key, np.empty(n - start)) for nuis in nuisances)
         clip_events = 0
         for k, models in enumerate(self._fold_models):
             local = slice((k - start) % k_folds, None, k_folds)
             fold_rows = rows[local]
             if not fold_rows.size:
                 continue
-            # Out-of-fold purity: the bundle was trained on the rows below
-            # its train_n outside its fold, and must never score one of them.
-            trained = (fold_rows < models["train_n"]) & (fold_rows % k_folds != models["fold"])
-            if trained.any():
-                raise AssertionError(f"fold {k} models would score rows they were trained on")
             X = self._covariates(fold_rows)
             for nuis in nuisances:
                 model = models[nuis.key]

@@ -28,6 +28,7 @@ __all__ = [
     "RidgeModel",
     "LogisticModel",
     "GbtModel",
+    "GbtForest",
     "NuModel",
     "FittedNuisance",
     "SquaredLoss",
@@ -155,23 +156,39 @@ _PREDICT_BLOCK = 8192
 class GbtModel:
     """init_value plus learning_rate times each tree's leaf value, in tree order.
 
-    The trees are stacked for prediction at construction: do not edit `trees`.
-    """
+    The trees are stacked into a one-model GbtForest at construction: do not edit `trees`."""
 
     init_value: float
     learning_rate: float
     trees: list
 
     def __post_init__(self):
+        self._forest = GbtForest([self])
+
+    def predict(self, X) -> np.ndarray:
+        return self._forest.predict(X, 0)
+
+
+class GbtForest:
+    """Boosted models of one learning rate and tree count, stacked: row i goes
+    down model ``which[i]``'s trees and adds their terms in fitted order, as that
+    model's ``predict`` does. The forest copies the models' node arrays."""
+
+    def __init__(self, models):
+        lr, n_trees = models[0].learning_rate, len(models[0].trees)
+        if any(m.learning_rate != lr or len(m.trees) != n_trees for m in models[1:]):
+            raise ParameterError("a forest's models must share one learning rate and tree count")
+        self.learning_rate, self._init = lr, np.array([m.init_value for m in models], dtype=float)
+        trees = [t for m in models for t in m.trees]
         # Every tree's nodes in one set of flat arrays. A leaf links to itself
         # on both sides, so walking `depth` steps from the roots parks each
         # row at its leaf in every tree at once.
         def stacked(attr, dtype):
-            return np.concatenate([getattr(t, attr) for t in self.trees] + [np.empty(0, dtype)])
+            return np.concatenate([getattr(t, attr) for t in trees] + [np.empty(0, dtype)])
 
-        sizes = [t.feature.size for t in self.trees]
-        self._roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
-        offset = np.repeat(self._roots, sizes)
+        sizes = [t.feature.size for t in trees]
+        roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+        offset = np.repeat(roots, sizes)
         feature = stacked("feature", np.int64)
         leaf = feature < 0
         own = np.arange(feature.size)
@@ -184,28 +201,28 @@ class GbtModel:
         self._threshold = stacked("threshold", float)
         self._value = stacked("value", float)
         self._n_features = int(feature.max(initial=-1)) + 1
-        frontier, self._depth = self._roots, 0
+        self._roots = roots.reshape(len(models), n_trees).T.copy()  # column m: model m's roots
+        frontier, self._depth = roots, 0
         while (frontier := frontier[~leaf[frontier]]).size:
             if self._depth == feature.size:
                 raise ParameterError("tree node links form a cycle")
             frontier = np.unique(np.concatenate((left[frontier], right[frontier])))
             self._depth += 1
 
-    def predict(self, X) -> np.ndarray:
+    def predict(self, X, which) -> np.ndarray:
+        """Row i's prediction by model ``which[i]``; a scalar names one model for every row."""
         X = _as_2d(X)
         n, d = X.shape
-        out = np.full(n, self.init_value)
-        if not self.trees:
-            return out
+        which = np.broadcast_to(np.asarray(which, dtype=np.intp), (n,))
+        out = np.take(self._init, which)
         if d < self._n_features:
             raise ParameterError(f"model splits on {self._n_features} covariates, got {d}")
         flat_x = np.ascontiguousarray(X).ravel()
-        n_trees = len(self.trees)
-        block = max(1, _PREDICT_BLOCK // n_trees)
-        roots = self._roots[:, None]
+        n_trees = self._roots.shape[0]
+        block = max(1, _PREDICT_BLOCK // max(1, n_trees))
         for start in range(0, n, block):
             stop = min(n, start + block)
-            node = np.broadcast_to(roots, (n_trees, stop - start))
+            node = np.take(self._roots, which[start:stop], axis=1)
             row_base = np.arange(start * d, stop * d, d)
             for _ in range(self._depth):
                 x = np.take(flat_x, row_base + np.take(self._feature, node))
@@ -214,7 +231,7 @@ class GbtModel:
             # value; accumulating down the rows adds the trees in order, as a
             # running sum does, and never switches to pairwise summation.
             terms = np.empty((n_trees + 1, stop - start))
-            terms[0] = self.init_value
+            terms[0] = out[start:stop]
             np.multiply(self.learning_rate, np.take(self._value, node), out=terms[1:])
             out[start:stop] = np.add.accumulate(terms, axis=0)[-1]
         return out
@@ -722,26 +739,32 @@ def load_model(text: str) -> FittedNuisance:
         raise ParameterError(f"malformed model text: {exc}") from None
 
 
+def _parse_finite(lines: list[str], key: str) -> float:
+    if math.isfinite(value := float(_parse_kv(lines, key))):
+        return value
+    raise ParameterError(f"{key} must be finite, got {value}")
+
+
 def _parse_logistic(lines: list[str]) -> LogisticModel:
     clip = tuple(float(v) for v in _parse_kv(lines, "clip").split())
     if len(clip) != 2 or not 0.0 < clip[0] < clip[1] < 1.0:
         raise ParameterError(f"clip must be two probabilities 0 < lo < hi < 1, got {clip}")
     return LogisticModel(
-        intercept=float(_parse_kv(lines, "intercept")), coef=_parse_coef(lines), clip=clip
+        intercept=_parse_finite(lines, "intercept"), coef=_parse_coef(lines), clip=clip
     )
 
 
 def _parse_coef(lines: list[str]) -> np.ndarray:
     coef = np.array([float(v) for v in _parse_kv(lines, "coef").split()])
-    if not coef.size:
-        raise ParameterError("coef must list at least one coefficient")
+    if not (coef.size and np.isfinite(coef).all()):
+        raise ParameterError("coef must list one or more finite coefficients")
     return coef
 
 
 def _parse_model(lines: list[str]) -> FittedNuisance:
     kind = _parse_kv(lines, "kind")
     if kind == "ridge":
-        return RidgeModel(intercept=float(_parse_kv(lines, "intercept")), coef=_parse_coef(lines))
+        return RidgeModel(intercept=_parse_finite(lines, "intercept"), coef=_parse_coef(lines))
     if kind == "logistic":
         return _parse_logistic(lines)
     if kind == "nu":
@@ -762,10 +785,10 @@ def _parse_model(lines: list[str]) -> FittedNuisance:
             if any(f >= 0 and not (0 <= l < n_nodes and 0 <= r < n_nodes) for f, _, l, r, _ in nodes):
                 raise ParameterError(f"tree {i} links a split to a node outside the tree")
             trees.append(_Tree.from_nodes(nodes))
+            if not (np.isfinite(trees[-1].threshold).all() and np.isfinite(trees[-1].value).all()):
+                raise ParameterError(f"tree {i} has a node threshold or value that is not finite")
             idx += 1 + n_nodes
-        return GbtModel(
-            init_value=float(_parse_kv(lines, "init")),
-            learning_rate=float(_parse_kv(lines, "learning_rate")),
-            trees=trees,
-        )
+        if not 0.0 <= (lr := float(_parse_kv(lines, "learning_rate"))) <= 1.0:  # LearnerSpec's rule
+            raise ParameterError(f"learning_rate must be in [0, 1], got {lr}")
+        return GbtModel(init_value=_parse_finite(lines, "init"), learning_rate=lr, trees=trees)
     raise ParameterError(f"unknown model kind {kind!r}")

@@ -31,7 +31,7 @@ from seqdml.errors import (
     ParameterError,
     SyncError,
 )
-from seqdml.nuisance import GbtModel, LogisticModel, RidgeModel, dump_model, fit_nu
+from seqdml.nuisance import GbtForest, GbtModel, LogisticModel, RidgeModel, dump_model, fit_nu
 from seqdml.scores import (
     GammaParam,
     NuisanceEval,
@@ -41,6 +41,8 @@ from seqdml.scores import (
     partial_id_score,
     plr_score,
 )
+
+from test_nuisance import oracle_predict
 
 NDJSON_ORDER = ["n", "estimate", "sigma", "lower", "upper", "lower_int", "upper_int", "stopped"]
 
@@ -544,16 +546,39 @@ class TestOrthogonalityDerivatives:
             )
 
 
-def poisoned_stream():
-    """A fitted ATE stream whose fold 0 models claim to have been trained on
-    fold 0's rows, which they will be asked to score."""
-    stream = Stream(StreamConfig(estimand="ate", burn_in=100))
-    stream.push_batch(*null_effect_columns(120, seed=11))
+def poisoned_stream(estimand="ate", folds=(0,)):
+    """A fitted stream whose models of each fold in ``folds`` claim to have
+    been trained on that fold's rows, which they will be asked to score.
+    The bound estimands fit GBT gamma models, so they have fold forests."""
+    if estimand == "ate":
+        columns = null_effect_columns(120, seed=11)
+    else:
+        columns = generated_columns(estimand, 120, seed=11)
+    stream = Stream(StreamConfig(
+        estimand=estimand, burn_in=100, gamma=1.5, gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
+    ))
+    stream.push_batch(*columns)
     stream.peek()
-    poisoned = dict(stream._fold_models[0])
-    poisoned["fold"] = 1
-    stream._fold_models[0] = poisoned
+    for k in folds:
+        stream._fold_models[k] = {**stream._fold_models[k], "fold": (k + 1) % 5}
     return stream
+
+
+def logged_walks(monkeypatch):
+    """Record each fold forest walk as (forest id, rows), and fail on any
+    GbtModel.predict call."""
+    walks, walk = [], GbtForest.predict
+
+    def logged(forest, X, which):
+        walks.append((id(forest), len(X)))
+        return walk(forest, X, which)
+
+    def unexpected(model, X):
+        raise AssertionError("GbtModel.predict was called")
+
+    monkeypatch.setattr(GbtForest, "predict", logged)
+    monkeypatch.setattr(GbtModel, "predict", unexpected)
+    return walks
 
 
 def oracle_holdout_rmse(stream, columns, n):
@@ -628,18 +653,19 @@ class TestOnePredictionPass:
     def test_a_pate_refit_predicts_gbt_models_only_on_the_rows_it_scores(self, monkeypatch):
         # nu splits y at its gamma model's predictions on their shared
         # training rows, which the gamma fit already holds. The refit's GBT
-        # predicts are then the rescoring of every row by g_t and g_c, and the
-        # nu models equal those of fit_nu, which predicts the rows again.
+        # predictions are then the rescoring of every row by g_t and g_c, one
+        # forest walk each, and the nu models equal those of fit_nu, which
+        # predicts the rows again.
         columns = generated_columns("pate_lower", 300, seed=23)
         stream = Stream(StreamConfig(
             estimand="pate_lower", burn_in=300, gamma=1.5,
             gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
         )).push_batch(*columns)
-        rows, predict = [], GbtModel.predict
-        monkeypatch.setattr(GbtModel, "predict", lambda model, X: rows.append(len(X)) or predict(model, X))
+        walks = logged_walks(monkeypatch)
         stream.peek()
         monkeypatch.undo()
-        assert sum(rows) == 2 * 300
+        forests = sorted(id(stream._forests[key]) for key in ("g_t", "g_c"))
+        assert sorted(walks) == [(forests[0], 300), (forests[1], 300)]
         for k, models in enumerate(stream._fold_models):
             train = np.arange(300) % 5 != k
             for nu, g, arm in (("nu_t", "g_t", 1.0), ("nu_c", "g_c", 0.0)):
@@ -649,8 +675,8 @@ class TestOnePredictionPass:
                 assert dump_model(models[nu]) == dump_model(want)
 
     def test_pate_diagnostics_predict_only_the_treated_arm(self, monkeypatch):
-        # The evals and their score read g_t, nu_t and e: the control arm's
-        # GBT never sees a row, and the outputs equal those of a full pass.
+        # The evals and their score read g_t, nu_t and e: only g_t's forest
+        # is walked, and the outputs equal those of a full pass.
         stream, _ = fitted_stream("pate_lower", 1.5)
         keys = [nuis.key for nuis in _TABLE["pate_lower"].nuisances]
         full, _ = stream._predictions(0, stream.n, keys)
@@ -659,18 +685,59 @@ class TestOnePredictionPass:
             for g1, e, nu in zip(full["g_t"].tolist(), full["e"].tolist(), full["nu_t"].tolist())
         ]
         want_derivatives = stream.orthogonality_derivatives()
-        treated = {id(models["g_t"]) for models in stream._fold_models}
-        seen = []
-
-        def logged(model, X):
-            seen.append(id(model))
-            return predict(model, X)
-
-        predict = GbtModel.predict
-        monkeypatch.setattr(GbtModel, "predict", logged)
+        walks = logged_walks(monkeypatch)
         assert stream.nuisance_evals() == want_evals
         assert stream.orthogonality_derivatives() == want_derivatives
-        assert seen and set(seen) <= treated
+        assert walks == [(id(stream._forests["g_t"]), stream.n)] * 2
+
+    def test_a_band_light_peek_walks_each_gbt_forest_once(self, monkeypatch):
+        # The band workload's shape: a peek every 25 rows after a burn-in of
+        # 500, so a light peek scores 5 new rows per fold with each of g_t
+        # and g_c.
+        columns = generated_columns("pate_upper", 525, seed=29)
+        stream = Stream(StreamConfig(
+            estimand="pate_upper", burn_in=500, gamma=1.5,
+            gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
+        )).push_batch(*columns.rows(0, 500))
+        stream.peek()
+        walks = logged_walks(monkeypatch)
+        stream.push_batch(*columns.rows(500, 525))
+        stream.peek()
+        assert len(stream.holdout_rmse["g_t"]) == 1  # no refit
+        forests = sorted(id(stream._forests[key]) for key in ("g_t", "g_c"))
+        assert sorted(walks) == [(forests[0], 25), (forests[1], 25)]
+
+    @pytest.mark.parametrize("estimand", ["ate", "plr", "late", "pate_lower", "pate_upper"])
+    def test_predictions_equal_each_rows_own_bundle(self, estimand):
+        # GBT outcome models too, so every estimand has fold forests.
+        columns = generated_columns(estimand, 330, seed=37)
+        eps = 0.01
+        stream = Stream(StreamConfig(
+            estimand=estimand, burn_in=300, gamma=1.5, epsilon=eps,
+            outcome_spec=LearnerSpec(kind="gbt", n_rounds=10),
+            gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
+        )).push_batch(*columns.rows(0, 300))
+        stream.peek()
+        stream.push_batch(*columns.rows(300, 330))
+        keys = [nuis.key for nuis in _TABLE[estimand].nuisances]
+        assert stream._forests.keys() == {
+            nuis.key for nuis in _TABLE[estimand].nuisances if nuis.role in ("outcome", "gamma")
+        }
+        for start in (0, 303):
+            got, _ = stream._predictions(start, 330, keys)
+            rows = np.arange(start, 330)
+            for key in keys:
+                want = np.empty(rows.size)
+                for k, models in enumerate(stream._fold_models):
+                    mine = rows % 5 == k
+                    X, model = columns.X[rows[mine]], models[key]
+                    if key in stream._forests:  # row by row
+                        want[mine] = [oracle_predict(model, x[None, :])[0] for x in X]
+                    elif key == "e":
+                        want[mine] = np.clip(model.probability(X), eps, 1.0 - eps)
+                    else:
+                        want[mine] = model.predict(X)
+                assert np.array_equal(got[key], want), key
 
     def test_purity_guards_the_diagnostics(self):
         stream = poisoned_stream()
@@ -678,6 +745,21 @@ class TestOnePredictionPass:
             stream.nuisance_evals()
         with pytest.raises(AssertionError):
             stream.orthogonality_derivatives()
+
+    def test_purity_is_checked_before_any_forest_is_walked(self, monkeypatch):
+        # Folds 3 and 1 are poisoned; the error names the lowest.
+        stream = poisoned_stream("pate_lower", folds=(3, 1))
+        stream._moments = None  # force rescoring of every row
+        stream.push_batch(*generated_columns("pate_lower", 10, seed=99))
+        walks = logged_walks(monkeypatch)
+        message = "^fold 1 models would score rows they were trained on$"
+        with pytest.raises(AssertionError, match=message):
+            stream.peek()
+        with pytest.raises(AssertionError, match=message):
+            stream.nuisance_evals()
+        with pytest.raises(AssertionError, match=message):
+            stream.orthogonality_derivatives()
+        assert walks == []
 
     def test_holdout_rmse_is_recorded_once_per_refit(self, monkeypatch):
         stream = Stream(StreamConfig(estimand="ate", burn_in=100))

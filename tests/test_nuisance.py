@@ -21,6 +21,7 @@ from seqdml import (
     minimize_gamma_constant,
 )
 from seqdml.nuisance import (
+    GbtForest,
     GbtModel,
     LogisticModel,
     NuModel,
@@ -591,25 +592,52 @@ class TestDumpLoad:
 
     LOGISTIC = "seqdml-model v1\nkind = logistic\nintercept = 0.0\ncoef = 1.0\n"
     NU = "seqdml-model v1\nkind = nu\nintercept = 0.0\ncoef = 1.0\n"
+    RIDGE = "seqdml-model v1\nkind = ridge\n"
+    CLIP = "clip = 0.01 0.99\n"
 
-    @pytest.mark.parametrize("text", [
-        "seqdml-model v1\nkind = ridge\nintercept = 0.0\ncoef = \n",
-        "seqdml-model v1\nkind = logistic\nintercept = 0.0\ncoef = \nclip = 0.01 0.99\n",
-        LOGISTIC + "clip = 0.01 0.99 0.7\n",
-        LOGISTIC + "clip = 0.9 0.1\n",
-        LOGISTIC + "clip = 0.5 0.5\n",
-        LOGISTIC + "clip = 0.0 0.99\n",
-        LOGISTIC + "clip = 0.01 1.0\n",
-        NU + "gamma = 1.5\nclip = 0.9 0.1\n",
-        NU + "gamma = nan\nclip = 0.01 0.99\n",
-        NU + "gamma = inf\nclip = 0.01 0.99\n",
-        NU + "gamma = 0.0\nclip = 0.01 0.99\n",
+    @staticmethod
+    def gbt(init="0.0", learning_rate="0.1", threshold="0.5", value="2.0"):
+        return (f"seqdml-model v1\nkind = gbt\ninit = {init}\nlearning_rate = {learning_rate}\n"
+                f"n_trees = 1\ntree 0 nodes 3\nnode 0 {threshold} 1 2 0.0\n"
+                f"node -1 0.0 -1 -1 1.0\nnode -1 0.0 -1 -1 {value}\n")
+
+    # (text, the key its error names)
+    @pytest.mark.parametrize("text, key", [
+        (RIDGE + "intercept = 0.0\ncoef = \n", "coef"),
+        ("seqdml-model v1\nkind = logistic\nintercept = 0.0\ncoef = \n" + CLIP, "coef"),
+        (LOGISTIC + "clip = 0.01 0.99 0.7\n", "clip"),
+        (LOGISTIC + "clip = 0.9 0.1\n", "clip"),
+        (LOGISTIC + "clip = 0.5 0.5\n", "clip"),
+        (LOGISTIC + "clip = 0.0 0.99\n", "clip"),
+        (LOGISTIC + "clip = 0.01 1.0\n", "clip"),
+        (NU + "gamma = 1.5\nclip = 0.9 0.1\n", "clip"),
+        (NU + "gamma = nan\n" + CLIP, "gamma"),
+        (NU + "gamma = inf\n" + CLIP, "gamma"),
+        (NU + "gamma = 0.0\n" + CLIP, "gamma"),
+        (gbt(learning_rate="nan"), "learning_rate"),
+        (gbt(learning_rate="-5.0"), "learning_rate"),
+        (gbt(learning_rate="1.5"), "learning_rate"),
+        (gbt(init="nan"), "init"),
+        (gbt(init="inf"), "init"),
+        (gbt(threshold="nan"), "threshold"),
+        (gbt(value="-inf"), "value"),
+        (RIDGE + "intercept = nan\ncoef = 1.0\n", "intercept"),
+        (RIDGE + "intercept = 0.0\ncoef = 1.0 inf\n", "coef"),
+        ("seqdml-model v1\nkind = logistic\nintercept = nan\ncoef = 1.0\n" + CLIP, "intercept"),
+        ("seqdml-model v1\nkind = nu\nintercept = 0.0\ncoef = nan\ngamma = 1.5\n" + CLIP, "coef"),
     ], ids=["ridge-no-coef", "logistic-no-coef", "three-clip", "inverted-clip", "empty-clip",
             "clip-at-zero", "clip-at-one", "nu-inverted-clip", "nu-nan-gamma", "nu-inf-gamma",
-            "nu-zero-gamma"])
-    def test_invalid_parameters_rejected(self, text):
-        with pytest.raises(ParameterError):
+            "nu-zero-gamma", "gbt-nan-learning-rate", "gbt-negative-learning-rate",
+            "gbt-learning-rate-above-one", "gbt-nan-init", "gbt-inf-init", "gbt-nan-threshold",
+            "gbt-inf-leaf-value", "ridge-nan-intercept", "ridge-inf-coef",
+            "logistic-nan-intercept", "nu-nan-coef"])
+    def test_invalid_parameters_rejected(self, text, key):
+        with pytest.raises(ParameterError, match=key):
             load_model(text)
+
+    def test_the_gbt_text_of_the_rejections_loads_when_valid(self):
+        model = load_model(self.gbt())
+        assert model.predict(np.array([[0.0], [1.0]])).tolist() == [0.1, 0.2]
 
     @pytest.mark.parametrize("fit", [
         lambda x, y: fit_ridge(x, y, LearnerSpec(kind="ridge")),
@@ -844,6 +872,78 @@ class TestFastGbtMatchesOracle:
         model = fit_gbt(X, y, SquaredLoss(), spec)
         with pytest.raises(ParameterError):
             model.predict(X[:, :2])
+
+
+def fold_models(X, y, loss, specs):
+    """One model per spec, model m fit on the rows i with i % len(specs) != m."""
+    k = len(specs)
+    held = np.arange(len(y)) % k
+    return [fit_gbt(X[held != m], y[held != m], loss, spec) for m, spec in enumerate(specs)]
+
+
+def oracle_forest_predict(models, X, which):
+    """Each row's prediction by oracle_predict of its own model."""
+    out = np.empty(len(X))
+    for m, model in enumerate(models):
+        out[which == m] = oracle_predict(model, X[which == m])
+    return out
+
+
+class TestGbtForest:
+    """A fold forest walks each row down its own model's trees: every
+    prediction must equal that model's oracle prediction bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(models, X):
+        """On the training rows, no rows, and random rows spanning at least
+        three predict blocks, each row given a random model."""
+        rng = np.random.default_rng(3)
+        forest = GbtForest(models)
+        across_blocks = 3 * _PREDICT_BLOCK // max(1, len(models[0].trees)) + 7
+        for probe in (X, X[:0], rng.normal(size=(across_blocks, X.shape[1]))):
+            which = rng.integers(0, len(models), size=len(probe))
+            got = forest.predict(probe, which)
+            assert np.array_equal(got, oracle_forest_predict(models, probe, which))
+            for m, model in enumerate(models):  # the model's own predict agrees too
+                assert np.array_equal(got[which == m], model.predict(probe[which == m]))
+
+    @pytest.mark.parametrize("loss_name", sorted(LOSSES))
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_every_fixture_bit_identical(self, fixture, loss_name):
+        X, y, spec = _fixture(fixture)
+        self.assert_matches_oracle(fold_models(X, y, LOSSES[loss_name], [spec] * 3), X)
+
+    def test_models_of_different_depths_share_a_forest(self):
+        X, y, _ = _fixture("min_leaf_1_depth_1")
+        specs = [LearnerSpec(kind="gbt", n_rounds=30, min_leaf=1, max_bins=2, max_depth=depth)
+                 for depth in (1, 3, 1, 3)]
+        models = fold_models(X, y, LOSSES["gamma"], specs)
+        assert {m._forest._depth for m in models} == {1, 3}
+        self.assert_matches_oracle(models, X)
+
+    def test_rows_keep_their_order_whatever_the_model_order(self):
+        X, y, spec = _fixture("mixed")
+        models = fold_models(X, y, SquaredLoss(), [spec] * 5)
+        which = np.repeat([4, 0, 3, 1, 2], len(X) // 5)
+        got = GbtForest(models).predict(X, which)
+        assert np.array_equal(got, oracle_forest_predict(models, X, which))
+
+    @pytest.mark.parametrize("other", [
+        {"learning_rate": 0.2},
+        {"n_rounds": 29},
+    ], ids=["learning-rate", "tree-count"])
+    def test_models_must_share_learning_rate_and_tree_count(self, other):
+        X, y, spec = _fixture("mixed")
+        odd = LearnerSpec(kind="gbt", **{"n_rounds": 30, **other})
+        models = fold_models(X, y, SquaredLoss(), [spec, odd])
+        with pytest.raises(ParameterError, match="one learning rate and tree count"):
+            GbtForest(models)
+
+    def test_too_few_covariates_rejected(self):
+        X, y, spec = _fixture("mixed")
+        forest = GbtForest(fold_models(X, y, SquaredLoss(), [spec] * 3))
+        with pytest.raises(ParameterError, match="covariates"):
+            forest.predict(X[:, :2], np.arange(len(X)) % 3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,18 @@
     python3 tools/bench_record.py --label smoke --tiny --out bench-smoke.json
 
 Runs ``python3 bench/run.py --workload W --seed S --seconds 20`` for every
-workload at seeds 801-805, then one ``--trace 1`` run and one ``--seconds 0``
-run per workload at the first seed, all from the root of the checkout this
-script sits in. It writes the machine it ran on, the median and quartiles of
-every end-to-end metric over the seeds, the traced per-layer metrics and two
-inference fingerprints per workload: ``fingerprint``, of the last round of
-the last end-to-end run, and ``fingerprint_round0``, of the ``--seconds 0``
-run, which does exactly round 0. How many rounds fit in 20 s depends on
-speed, so only the second can be compared across checkouts of different
-speed. ``--tiny`` runs the benchmark's tiny inputs for 2 s at one seed: a
-check that the recorder still reads ``run.py``'s output, not a measurement.
+workload at seeds 801-805, then per workload one ``--trace 1`` run at every
+seed and one ``--seconds 0`` run at the first seed, all from the root of the
+checkout this script sits in. It writes the machine it ran on, the median and
+quartiles of every end-to-end metric over the seeds, each per-layer metric
+as its median over the traced runs (``value``) beside every run's figure
+(``values``), and two inference fingerprints per workload: ``fingerprint``,
+of the last round of the last end-to-end run, and ``fingerprint_round0``, of
+the ``--seconds 0`` run, which does exactly round 0. How many rounds fit in
+20 s depends on speed, so only the second can be compared across checkouts of
+different speed. ``--tiny`` runs the benchmark's tiny inputs for 2 s at one
+seed: a check that the recorder still reads ``run.py``'s output, not a
+measurement.
 
 The metric names come from BENCHMARK.json; a run that fails, reports a
 failed operation or incorrect output, or leaves out a listed metric stops
@@ -105,6 +107,11 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(measured), "q1": q1, "q3": q3, "values": values}
 
 
+def layer(values: list) -> dict:
+    """A per-layer metric: its median over the traced runs, and each run's figure."""
+    return {"value": summary(values)["median"], "values": values}
+
+
 def record(seeds, seconds: float, tiny: bool) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -118,7 +125,7 @@ def record(seeds, seconds: float, tiny: bool) -> dict:
     out = {}
     for workload in workloads:
         runs = results[workload]
-        _, traced = run(workload, seeds[0], seconds, trace=True, tiny=tiny)
+        traced = [run(workload, seed, seconds, trace=True, tiny=tiny)[1] for seed in seeds]
         round0, _ = run(workload, seeds[0], 0.0, trace=False, tiny=tiny)
         out[workload] = {
             "end_to_end": {
@@ -126,7 +133,7 @@ def record(seeds, seconds: float, tiny: bool) -> dict:
                 for m in spec["end_to_end"]
             },
             "per_layer": {
-                m["name"]: {"unit": m["unit"], "value": metric_values([traced], m["name"])[0]}
+                m["name"]: {"unit": m["unit"], **layer(metric_values(traced, m["name"]))}
                 for m in spec["per_layer"]
             },
             "attempted": [r["attempted"] for r in runs],
