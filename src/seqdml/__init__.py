@@ -6,7 +6,7 @@ under a sensitivity model) with confidence sequences that stay valid under
 continuous monitoring and data-dependent stopping.
 """
 
-from .boundary import Interval, MixtureParams, intersect, region_threshold, scalar_radius, tune_rho
+from .boundary import Interval, MixtureParams, intersect_step, region_threshold, scalar_radius, tune_rho
 from .crossfit import (
     DmlFit,
     FoldPlan,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import ParameterError
 
@@ -20,7 +19,6 @@ __all__ = [
     "region_threshold",
     "tune_rho",
     "intersect_step",
-    "intersect",
 ]
 
 
@@ -140,19 +138,3 @@ def intersect_step(running: Interval | None, new: Interval) -> Interval:
     if running is None:
         return new
     return Interval(max(running.lower, new.lower), min(running.upper, new.upper))
-
-
-def intersect(history: Sequence[Interval] | Iterable[Interval]) -> list[Interval]:
-    """Running intersection of a sequence of intervals.
-
-    ``out[k]`` is the intersection of ``history[0..k]``: lower bounds are the
-    running max, upper bounds the running min. The output is nested; disjoint
-    inputs yield empty (lower > upper) intervals which are kept and flagged
-    rather than dropped.
-    """
-    out: list[Interval] = []
-    for interval in history:
-        out.append(intersect_step(out[-1] if out else None, interval))
-    if not out:
-        raise ParameterError("intersect requires a nonempty history")
-    return out

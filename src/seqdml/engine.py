@@ -156,8 +156,14 @@ class _Estimand:
     score: Callable  # vectorised, see the score functions above
     evals: dict[str, str]  # NuisanceEval field -> bundle key, in diagnose's order
     evals_score: Callable  # the score the evals describe, which diagnose checks
-    classes: str | None = None  # column whose two classes every training fold needs
-    needs_z: bool = False
+
+    @property
+    def classes(self) -> str | None:  # the column whose two classes every training fold needs
+        return next((nuis.subset[0] for nuis in self.nuisances if nuis.subset != "all"), None)
+
+    @property
+    def needs_z(self) -> bool:  # a nuisance splits on the instrument or is fit to it
+        return self.classes == "z" or any(nuis.target == "z" for nuis in self.nuisances)
 
 
 def _pate(treated_side: str) -> _Estimand:
@@ -174,7 +180,6 @@ def _pate(treated_side: str) -> _Estimand:
         # The evaluations describe the treated arm's bound.
         evals={"g1": "g_t", "e": "e", "nu": "nu_t"},
         evals_score=_pate_treated_score,
-        classes="a",
     )
 
 
@@ -188,7 +193,6 @@ _TABLE = {
         score=_ate_score,
         evals={"g1": "g1", "g0": "g0", "e": "e"},
         evals_score=_ate_score,
-        classes="a",
     ),
     "plr": _Estimand(
         nuisances=(
@@ -210,8 +214,6 @@ _TABLE = {
         score=_late_score,
         evals={"g_t": "g_t", "g_c": "g_c", "m_t": "m_t", "m_c": "m_c", "e": "e"},
         evals_score=_late_score,
-        classes="z",
-        needs_z=True,
     ),
     "pate_lower": _pate("lower"),
     "pate_upper": _pate("upper"),
@@ -248,19 +250,16 @@ class StreamConfig:
     def __post_init__(self):
         if self.estimand not in ESTIMANDS:
             raise ParameterError(f"estimand must be one of {ESTIMANDS}, got {self.estimand!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.rho is None:
-            _rho_numerator(self.alpha)  # the first peek tunes rho at this alpha
+            _rho_numerator(self.alpha)  # checks alpha; the first peek tunes rho at it
+        else:
+            MixtureParams(self.rho, self.alpha)  # checks rho and alpha
         FoldPlan(self.k_folds)  # checks k_folds
         if not self.k_folds <= self.burn_in <= sys.float_info.max:  # NaN fails too
             raise ParameterError(
                 f"burn_in must be finite and >= k_folds={self.k_folds}, got {self.burn_in}"
             )
-        if self.rho is not None and not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ParameterError(f"rho must be a positive real, got {self.rho}")
-        if not (self.gamma >= 1.0 and math.isfinite(self.gamma)):
-            raise ParameterError(f"gamma must be a real >= 1, got {self.gamma}")
+        GammaParam(self.gamma)  # checks gamma
         if not (0.0 < self.epsilon < 0.5):
             raise ParameterError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
         # The refit schedule multiplies burn_in by refit_factor; that must stay finite.
@@ -399,6 +398,10 @@ class Stream:
         self.plan = FoldPlan(config.k_folds)
         self._estimand = _TABLE[config.estimand]
         self._logistic = LearnerSpec(kind="logistic", clip=config.epsilon)
+        gamma = GammaParam(config.gamma)
+        # The loss weights of the gamma and nu nuisances, by bundle key.
+        self._weights = {nuis.key: effective_gamma(gamma, nuis.side)
+                         for nuis in self._estimand.nuisances if nuis.side is not None}
         self.rho: float | None = config.rho
         self.peek_log: list[CsPoint] = []
         self.stopped_at: int | None = None
@@ -497,14 +500,6 @@ class Stream:
         """Covariates of the given row indices, as a C-contiguous copy."""
         return self._rows.view()[rows, 3:]
 
-    def _loss_weights(self) -> dict[str, float]:
-        """Loss weights of the gamma and nu nuisances, by bundle key."""
-        return {
-            nuis.key: effective_gamma(GammaParam(self.config.gamma), nuis.side)
-            for nuis in self._estimand.nuisances
-            if nuis.side is not None
-        }
-
     @staticmethod
     def _subset(subset: str, cols: dict[str, np.ndarray]):
         """Index of a nuisance's training subset: every row, or a boolean mask."""
@@ -528,7 +523,6 @@ class Stream:
                     f"fold {fold}: training data has a single {_CLASS_NAMES[est.classes]} "
                     "class; peek deferred"
                 )
-        weights = self._loss_weights()
         X = self._covariates(train_idx)
         covariates: dict[str, np.ndarray] = {}  # by training subset, one copy each
         fitted: dict[str, np.ndarray | None] = {}  # training predictions, by bundle key
@@ -541,7 +535,7 @@ class Stream:
                 covariates[nuis.subset] = X[rows]
             models[nuis.key], fitted[nuis.key] = fit(
                 spec, covariates[nuis.subset], cols[nuis.target or "y"][rows],
-                weights.get(nuis.key), fitted.get(nuis.base),
+                self._weights.get(nuis.key), fitted.get(nuis.base),
             )
         return models
 
@@ -639,7 +633,7 @@ class Stream:
             preds, clip_events = self._predictions(start, n, keys)
             cols = self._columns(slice(start, n))
             psi_a, psi_b = self._estimand.score(
-                cols["y"], cols["a"], cols["z"], preds, self._loss_weights()
+                cols["y"], cols["a"], cols["z"], preds, self._weights
             )
             finite = np.isfinite(psi_a) & np.isfinite(psi_b)
             if not finite.all():
@@ -759,14 +753,14 @@ class Stream:
         est, n, step = self._estimand, self.n, 1e-5
         columns, _clip_events = self._predictions(0, n, est.evals.values())
         data = self._columns(slice(n))
-        weights, theta = self._loss_weights(), float(self.last_fit.theta_hat)
+        theta = float(self.last_fit.theta_hat)
         clipped = {nuis.key for nuis in est.nuisances if nuis.role == "propensity"}
 
         def mean_score(key: str, r: float) -> float:
             preds = {**columns, key: columns[key] + r}
             if key in clipped:  # only a shift can move a clipped propensity out of (0, 1)
                 _check_propensity(preds[key])
-            psi_a, psi_b = est.evals_score(data["y"], data["a"], data["z"], preds, weights)
+            psi_a, psi_b = est.evals_score(data["y"], data["a"], data["z"], preds, self._weights)
             value = math.fsum((psi_a * theta + psi_b).tolist()) / n
             if not math.isfinite(value):
                 raise DgpError("E[psi] is not finite on this support")

@@ -156,16 +156,17 @@ _PREDICT_BLOCK = 8192
 class GbtModel:
     """init_value plus learning_rate times each tree's leaf value, in tree order.
 
-    The trees are stacked into a one-model GbtForest at construction: do not edit `trees`."""
+    The trees are stacked into a one-model GbtForest at the first predict: do
+    not edit `trees` after it. A stream walks its fold forests and builds none."""
 
     init_value: float
     learning_rate: float
     trees: list
-
-    def __post_init__(self):
-        self._forest = GbtForest([self])
+    _forest = None  # the one-model forest once built; a class attribute, not a field
 
     def predict(self, X) -> np.ndarray:
+        if self._forest is None:
+            self._forest = GbtForest([self])
         return self._forest.predict(X, 0)
 
 
@@ -790,5 +791,7 @@ def _parse_model(lines: list[str]) -> FittedNuisance:
             idx += 1 + n_nodes
         if not 0.0 <= (lr := float(_parse_kv(lines, "learning_rate"))) <= 1.0:  # LearnerSpec's rule
             raise ParameterError(f"learning_rate must be in [0, 1], got {lr}")
-        return GbtModel(init_value=_parse_finite(lines, "init"), learning_rate=lr, trees=trees)
+        model = GbtModel(init_value=_parse_finite(lines, "init"), learning_rate=lr, trees=trees)
+        model._forest = GbtForest([model])  # rejects node links that form a cycle
+        return model
     raise ParameterError(f"unknown model kind {kind!r}")

@@ -38,6 +38,22 @@ METHOD_ASYMPCS = "asympcs"
 METHOD_BATCH = "batch"
 
 
+def _check_design(d, **finite) -> None:
+    """d must be an integer >= 1, and each of ``finite``, a number or a tuple of numbers, finite."""
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ParameterError(f"d must be an integer >= 1, got {d!r}")
+    for name, value in finite.items():
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def _params(given, cls, seed: int):
+    """``given``, which must be a ``cls``, or cls.from_seed(seed) when it is None."""
+    if given is not None and not isinstance(given, cls):
+        raise ParameterError(f"dgp_params must be a {cls.__name__}, got {type(given).__name__}")
+    return cls.from_seed(seed) if given is None else given
+
+
 @dataclass(frozen=True)
 class PartialIdDgpParams:
     """Confounded-assignment benchmark: X ~ U[0,1]^d, additive effect tau."""
@@ -52,8 +68,7 @@ class PartialIdDgpParams:
 
     def __post_init__(self):
         GammaParam(self.gamma_data)  # a finite real >= 1, the rule StreamConfig's gamma follows
-        if not math.isfinite(self.tau):
-            raise ParameterError(f"tau must be finite, got {self.tau}")
+        _check_design(self.d, tau=self.tau, alpha0=self.alpha0, mu=self.mu, beta=self.beta)
         if len(self.mu) != self.d or len(self.beta) != self.d:
             raise ParameterError("mu and beta must have length d")
 
@@ -66,6 +81,7 @@ class PartialIdDgpParams:
         gamma_data: float = math.exp(0.6),
         alpha0: float = 0.0,
     ) -> "PartialIdDgpParams":
+        _check_design(d)
         rng = np.random.default_rng([seed, 0xD6])
         return cls(
             mu=tuple(rng.standard_normal(d)),
@@ -90,10 +106,11 @@ class LateDgpParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.alpha_z > 0:
-            raise ParameterError(f"alpha_z must be positive, got {self.alpha_z}")
+        if not 0.0 < self.alpha_z < math.inf:
+            raise ParameterError(f"alpha_z must be a finite positive real, got {self.alpha_z}")
         if not (0.0 < self.p_instrument < 1.0):
             raise ParameterError("p_instrument must lie in (0, 1)")
+        _check_design(self.d, theta=self.theta, beta=self.beta)
         if len(self.beta) != self.d:
             raise ParameterError("beta must have length d")
 
@@ -106,6 +123,7 @@ class LateDgpParams:
         alpha_z: float = 2.0,
         p_instrument: float = 0.4,
     ) -> "LateDgpParams":
+        _check_design(d)
         rng = np.random.default_rng([seed, 0x1A7E])
         return cls(
             beta=tuple(rng.normal(0.0, math.sqrt(0.5), d)),
@@ -288,10 +306,10 @@ def run_coverage(
     grid, burn_in = _peek_grid(n_max, peek_every, burn_in)
 
     if dgp == "late":
-        params = dgp_params or LateDgpParams.from_seed(seed)
+        params = _params(dgp_params, LateDgpParams, seed)
         truth = params.theta
     else:
-        params = dgp_params or PartialIdDgpParams.from_seed(seed)
+        params = _params(dgp_params, PartialIdDgpParams, seed)
         truth = params.tau
 
     # Imported here, its only use: scipy.stats takes about half a second to
@@ -381,7 +399,7 @@ def run_pate_band(
     stream and the upper intersected bound of the upper-bound stream.
     """
     grid, burn_in = _peek_grid(n_max, peek_every, burn_in)
-    params = dgp_params or PartialIdDgpParams.from_seed(seed)
+    params = _params(dgp_params, PartialIdDgpParams, seed)
     if gamma is None:
         gamma = params.gamma_data
     columns, _ = gen_partial_id(n_max, params, seed=[seed, 1])

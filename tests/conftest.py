@@ -4,9 +4,16 @@ import itertools
 
 import pytest
 
-from seqdml import nuisance
+from seqdml import LateDgpParams, PartialIdDgpParams, gen_late, gen_partial_id, nuisance
 
 BISECTION_CALLS = 10_000
+
+
+def generated_columns(estimand: str, n: int, seed: int):
+    """n rows for the estimand from its simulator, with design and rows drawn from ``seed``."""
+    if estimand == "late":
+        return gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
+    return gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
 
 
 @pytest.fixture

@@ -1,14 +1,14 @@
 """Boundary math against an arbitrary-precision oracle."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from seqdml import Interval, MixtureParams, intersect, region_threshold, scalar_radius, tune_rho
+from seqdml import Interval, MixtureParams, intersect_step, region_threshold, scalar_radius, tune_rho
 from seqdml import Observation, Stream, StreamConfig
-from seqdml.boundary import intersect_step
 from seqdml.errors import ParameterError
 
 mp.dps = 50
@@ -183,51 +183,60 @@ class TestTuneRho:
             tune_rho(0.9, 10, 1.0)
 
 
+def running(history):
+    """The running intersection of a history: intersect_step folded over it."""
+    return list(accumulate(history, intersect_step))
+
+
 class TestIntersect:
     def test_running_max_min(self):
-        out = intersect([Interval(0, 10), Interval(1, 9), Interval(2, 11)])
+        out = running([Interval(0, 10), Interval(1, 9), Interval(2, 11)])
         assert [(i.lower, i.upper) for i in out] == [(0, 10), (1, 9), (2, 9)]
 
     def test_single_interval_identity(self):
-        out = intersect([Interval(-1.5, 2.5)])
-        assert out == [Interval(-1.5, 2.5)]
+        assert intersect_step(None, Interval(-1.5, 2.5)) == Interval(-1.5, 2.5)
+        assert running([Interval(-1.5, 2.5)]) == [Interval(-1.5, 2.5)]
 
     def test_disjoint_inputs_flagged_empty(self):
-        out = intersect([Interval(0, 1), Interval(2, 3)])
+        out = running([Interval(0, 1), Interval(2, 3)])
         assert (out[1].lower, out[1].upper) == (2, 1)
         assert out[1].is_empty
         assert not out[0].is_empty
+        # An empty running interval is kept, and stays empty.
+        assert running(out + [Interval(-5, 5)])[-1] == Interval(2, 1)
 
     def test_idempotent(self):
+        # A second fold over the running intersection changes nothing.
         rng = np.random.default_rng(11)
         history = []
         for _ in range(50):
             lo = float(rng.normal())
             history.append(Interval(lo, lo + float(rng.uniform(0, 3))))
-        once = intersect(history)
-        assert intersect(once) == once
+        once = running(history)
+        assert running(once) == once
 
     def test_nested(self):
         rng = np.random.default_rng(12)
         history = [Interval(float(rng.normal()), float(rng.normal()) + 2) for _ in range(40)]
-        out = intersect(history)
+        out = running(history)
         for prev, cur in zip(out, out[1:]):
             assert cur.lower >= prev.lower
             assert cur.upper <= prev.upper
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(ParameterError):
-            intersect([])
+    def test_no_running_bound_starts_at_the_new_interval(self):
+        # The first step returns the new interval itself, even an empty one.
+        for new in (Interval(0, 1), Interval(2, 1), Interval(math.nan, 1.0)):
+            assert intersect_step(None, new) is new
 
     def test_running_bound_is_the_first_argument(self):
         # max/min return their first argument on ties and against NaN, so the
         # running bound keeps its sign of zero and survives a NaN new bound.
         history = [Interval(-0.0, 0.0), Interval(0.0, -0.0), Interval(math.nan, math.nan)]
-        out = intersect(history)
+        out = running(history)
         signs = [(math.copysign(1.0, i.lower), math.copysign(1.0, i.upper)) for i in out]
         assert signs == [(-1.0, 1.0)] * 3
-        assert intersect_step(None, history[2]) is history[2]
-        assert math.isnan(intersect([Interval(math.nan, 1.0)])[0].lower)
+        assert intersect_step(Interval(0.5, 1.0), Interval(math.nan, 0.75)) == Interval(0.5, 0.75)
+        assert math.isnan(running([Interval(math.nan, 1.0)])[0].lower)
 
     def test_matches_the_streams_intersected_bounds(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=20, k_folds=2))
@@ -238,7 +247,7 @@ class TestIntersect:
                 a = int(rng.uniform() < 0.5)
                 stream.push(Observation(y=a + x + float(rng.normal()), a=a, x=(x,)))
             stream.peek()
-        out = intersect(Interval(p.lower, p.upper) for p in stream.peek_log)
+        out = running(Interval(p.lower, p.upper) for p in stream.peek_log)
         assert [(i.lower, i.upper) for i in out] == [
             (p.lower_int, p.upper_int) for p in stream.peek_log
         ]

@@ -1,12 +1,17 @@
 """Streaming engine: scheduling, nesting, determinism, stopping, bands."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from seqdml import (
     Columns,
+    engine,
+    run_coverage,
+    run_pate_band,
+    sim,
     LearnerSpec,
     Observation,
     StopRule,
@@ -22,7 +27,7 @@ from seqdml import (
     PartialIdDgpParams,
 )
 from seqdml.crossfit import ScoreMoments
-from seqdml.engine import _TABLE
+from seqdml.engine import _TABLE, ESTIMANDS
 from seqdml.errors import (
     EstimandError,
     IngestError,
@@ -42,6 +47,7 @@ from seqdml.scores import (
     plr_score,
 )
 
+from conftest import generated_columns
 from test_nuisance import oracle_predict
 
 NDJSON_ORDER = ["n", "estimate", "sigma", "lower", "upper", "lower_int", "upper_int", "stopped"]
@@ -471,12 +477,6 @@ def oracle_score(estimand, gamma):
     return {"ate": aipw_score, "plr": plr_score, "late": late_score}[estimand]
 
 
-def generated_columns(estimand, n, seed):
-    if estimand == "late":
-        return gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
-    return gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
-
-
 def observations_of(columns):
     """The rows of generated columns as Observations, for per-row oracles."""
     z = [None] * len(columns.y) if columns.z is None else [int(v) for v in columns.z]
@@ -608,7 +608,7 @@ def oracle_holdout_rmse(stream, columns, n):
 
 
 class TestOnePredictionPass:
-    @pytest.mark.parametrize("estimand", ["ate", "plr", "late", "pate_lower", "pate_upper"])
+    @pytest.mark.parametrize("estimand", ESTIMANDS)
     def test_holdout_rmse_matches_the_per_subset_oracle(self, estimand):
         seed = 31
         columns = generated_columns(estimand, 900, seed)
@@ -707,7 +707,7 @@ class TestOnePredictionPass:
         forests = sorted(id(stream._forests[key]) for key in ("g_t", "g_c"))
         assert sorted(walks) == [(forests[0], 25), (forests[1], 25)]
 
-    @pytest.mark.parametrize("estimand", ["ate", "plr", "late", "pate_lower", "pate_upper"])
+    @pytest.mark.parametrize("estimand", ESTIMANDS)
     def test_predictions_equal_each_rows_own_bundle(self, estimand):
         # GBT outcome models too, so every estimand has fold forests.
         columns = generated_columns(estimand, 330, seed=37)
@@ -782,3 +782,102 @@ class TestOnePredictionPass:
         assert stream.holdout_rmse
         for values in stream.holdout_rmse.values():
             assert [n for n, _ in values] == [150, 250]
+
+
+class TestTheTable:
+    def test_classes_and_needs_z_follow_from_the_nuisances(self):
+        # The literals each entry stated before they were derived.
+        stated = {
+            "ate": ("a", False), "plr": (None, False), "late": ("z", True),
+            "pate_lower": ("a", False), "pate_upper": ("a", False),
+        }
+        assert {name: (est.classes, est.needs_z) for name, est in _TABLE.items()} == stated
+
+    def test_loss_weights_are_computed_once_per_stream(self, monkeypatch):
+        calls = Counter()
+        effective_gamma = engine.effective_gamma
+
+        def counted(gamma, side):
+            calls[side] += 1
+            return effective_gamma(gamma, side)
+
+        monkeypatch.setattr(engine, "effective_gamma", counted)
+        stream, _ = fitted_stream("pate_lower", 1.5)
+        stream.orthogonality_derivatives()
+        stream.push_batch(*generated_columns("pate_lower", 20, seed=5)).peek()
+        assert calls == {"lower": 2, "upper": 2}
+        assert stream._weights == {"g_t": 1.5, "nu_t": 1.5, "g_c": 1 / 1.5, "nu_c": 1 / 1.5}
+
+
+def counted_forests(monkeypatch):
+    """Count GbtForest constructions, the fold forests and any one-model forest."""
+    built, init = [], GbtForest.__init__
+
+    def counted(forest, models):
+        built.append(len(models))
+        init(forest, models)
+
+    monkeypatch.setattr(GbtForest, "__init__", counted)
+    return built
+
+
+class TestOneForestPerGbtNuisance:
+    def test_a_pate_refit_stacks_each_gamma_nuisance_once(self, monkeypatch):
+        columns = generated_columns("pate_lower", 300, seed=23)
+        stream = Stream(StreamConfig(
+            estimand="pate_lower", burn_in=300, gamma=1.5,
+            gamma_spec=LearnerSpec(kind="gbt", n_rounds=10),
+        )).push_batch(*columns)
+        built = counted_forests(monkeypatch)
+        stream.peek()
+        stream.nuisance_evals()
+        stream.orthogonality_derivatives()
+        assert built == [5, 5]
+
+    def test_an_ate_stream_with_gbt_outcomes_stacks_each_outcome_once(self, monkeypatch):
+        built = counted_forests(monkeypatch)
+        stream = Stream(StreamConfig(
+            estimand="ate", burn_in=100, outcome_spec=LearnerSpec(kind="gbt", n_rounds=10),
+        ))
+        stream.push_batch(*null_effect_columns(150, seed=18)).peek()
+        stream.push_batch(*null_effect_columns(20, seed=19)).peek()  # a light peek builds none
+        assert built == [5, 5]
+
+    def test_a_model_stacks_its_own_forest_at_its_first_predict(self, monkeypatch):
+        columns = null_effect_columns(100, seed=3)
+        model = engine.fit_gbt(columns.X, columns.y, engine.SquaredLoss(),
+                               LearnerSpec(kind="gbt", n_rounds=10))
+        built = counted_forests(monkeypatch)
+        first = model.predict(columns.X)
+        assert built == [1]
+        assert np.array_equal(model.predict(columns.X), first)
+        assert built == [1]
+
+
+# The module globals that the benchmark's tracer (bench/tracer.py) wraps by
+# name. A rename or a call that bypasses the global would read 0 there.
+TRACED = {
+    engine: ("fit_ridge", "fit_logistic", "fit_gbt", "aipw_pseudo_outcome", "late_terms",
+             "partial_id_pseudo_outcome", "plr_terms", "scalar_radius", "tune_rho"),
+    sim: ("gen_late", "gen_partial_id"),
+}
+
+
+def test_every_traced_layer_name_is_called(monkeypatch):
+    calls = Counter()
+    for module, names in TRACED.items():
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    few = LearnerSpec(kind="gbt", n_rounds=5)
+    for estimand in ESTIMANDS:
+        config = StreamConfig(estimand=estimand, burn_in=100, gamma=1.5,
+                              outcome_spec=few, gamma_spec=few)
+        Stream(config).push_batch(*generated_columns(estimand, 150, seed=41)).peek()
+        run_coverage(dgp="late" if estimand == "late" else "partial_id", estimand=estimand,
+                     reps=1, n_max=200, peek_every=100, seed=42)
+    run_pate_band(n_max=200, peek_every=100, gamma=1.5, seed=43, gamma_spec=few)
+    assert {name for names in TRACED.values() for name in names} - set(calls) == set()

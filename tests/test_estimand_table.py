@@ -22,28 +22,16 @@ from pathlib import Path
 
 import pytest
 
-from seqdml import (
-    LateDgpParams,
-    LearnerSpec,
-    PartialIdDgpParams,
-    Stream,
-    StreamConfig,
-    gen_late,
-    gen_partial_id,
-)
+from seqdml import LearnerSpec, Stream, StreamConfig
 from seqdml.cli import main
+from seqdml.engine import ESTIMANDS
 from seqdml.errors import NotReadyError
 
+from conftest import generated_columns
+
 FIXTURE = Path(__file__).parent / "fixtures" / "estimand_table.json"
-ESTIMANDS = ("ate", "plr", "late", "pate_lower", "pate_upper")
 REL = 1e-9
 FEW_ROUNDS = LearnerSpec(kind="gbt", n_rounds=10)
-
-
-def generated_columns(estimand: str, n: int, seed: int):
-    if estimand == "late":
-        return gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
-    return gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
 
 
 def stream_outputs(estimand: str) -> dict:

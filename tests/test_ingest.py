@@ -21,13 +21,9 @@ from seqdml.cli import _DataFailure, _parse_block, _row_values
 from seqdml.engine import ESTIMANDS
 from seqdml.errors import IngestError, NotReadyError, ParameterError
 
+from conftest import generated_columns
+
 FEW_ROUNDS = LearnerSpec(kind="gbt", n_rounds=10)
-
-
-def generated_columns(estimand, n, seed):
-    if estimand == "late":
-        return gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
-    return gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
 
 
 def observations_of(columns):

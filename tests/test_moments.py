@@ -16,16 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqdml import (
-    Columns,
-    LateDgpParams,
-    LearnerSpec,
-    PartialIdDgpParams,
-    Stream,
-    StreamConfig,
-    gen_late,
-    gen_partial_id,
-)
+from seqdml import Columns, LearnerSpec, Stream, StreamConfig
 from seqdml import crossfit
 from seqdml.crossfit import (
     SINGULAR_TOL,
@@ -41,12 +32,14 @@ from seqdml.crossfit import (
     _solve_linear,
     solve_arrays,
 )
+from seqdml.engine import ESTIMANDS
 from seqdml.errors import IdentificationError, NotReadyError, ParameterError
+
+from conftest import generated_columns
 
 # Relative tolerance on sigma^2 at light peeks: a few rounding errors of the
 # cross-moment correction, with a wide margin.
 LIGHT_REL = 1e-12
-ESTIMANDS = ("ate", "plr", "late", "pate_lower", "pate_upper")
 FEW_ROUNDS = LearnerSpec(kind="gbt", n_rounds=10)
 
 
@@ -221,12 +214,6 @@ class ScoreLog:
     def scores(self):
         return (np.concatenate(self.psi_a), np.concatenate(self.psi_b),
                 np.concatenate(self.fold_ids))
-
-
-def generated_columns(estimand, n, seed):
-    if estimand == "late":
-        return gen_late(n, LateDgpParams.from_seed(seed), seed=[seed, 1])[0]
-    return gen_partial_id(n, PartialIdDgpParams.from_seed(seed), seed=[seed, 1])[0]
 
 
 def check_every_peek(stream, columns, peek_every, log):

@@ -918,7 +918,7 @@ class TestGbtForest:
         specs = [LearnerSpec(kind="gbt", n_rounds=30, min_leaf=1, max_bins=2, max_depth=depth)
                  for depth in (1, 3, 1, 3)]
         models = fold_models(X, y, LOSSES["gamma"], specs)
-        assert {m._forest._depth for m in models} == {1, 3}
+        assert {GbtForest([m])._depth for m in models} == {1, 3}
         self.assert_matches_oracle(models, X)
 
     def test_rows_keep_their_order_whatever_the_model_order(self):

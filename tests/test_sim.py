@@ -259,3 +259,63 @@ class TestEmptyPeekGrid:
                 run_coverage(dgp="late", estimand="late", reps=1, **kwargs)
             else:
                 run_pate_band(**kwargs)
+
+
+DGPS = {"late": LateDgpParams, "partial_id": PartialIdDgpParams}
+
+
+class TestBadDgpInputs:
+    """Bad simulator inputs raise ParameterError before any row is drawn,
+    instead of failing in the generator or running on NaN rows."""
+
+    @pytest.mark.parametrize("d", [0, -1, 2.5])
+    @pytest.mark.parametrize("dgp", sorted(DGPS))
+    def test_dimension_must_be_a_positive_integer(self, dgp, d):
+        with pytest.raises(ParameterError, match=r"d must be an integer >= 1"):
+            DGPS[dgp].from_seed(0, d=d)
+
+    def test_dimension_zero_rejected_when_built_directly(self):
+        with pytest.raises(ParameterError, match=r"d must be an integer >= 1, got 0"):
+            PartialIdDgpParams(mu=(), beta=(), d=0)
+        with pytest.raises(ParameterError, match=r"d must be an integer >= 1, got 0"):
+            LateDgpParams(beta=(), d=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha0", math.nan), ("alpha0", math.inf),
+        ("mu", (math.nan, 0.0)), ("beta", (0.0, -math.inf)),
+    ])
+    def test_partial_id_values_must_be_finite(self, field, value):
+        kwargs = {"mu": (0.0, 0.0), "beta": (0.0, 0.0), "d": 2, field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            PartialIdDgpParams(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("theta", math.nan), ("theta", -math.inf), ("beta", (math.nan, 0.0)),
+    ])
+    def test_late_values_must_be_finite(self, field, value):
+        kwargs = {"beta": (0.0, 0.0), "d": 2, field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            LateDgpParams(**kwargs)
+
+    @pytest.mark.parametrize("alpha_z", [math.inf, math.nan, -1.0])
+    def test_alpha_z_must_be_finite_and_positive(self, alpha_z):
+        with pytest.raises(ParameterError, match="alpha_z must be a finite positive real"):
+            LateDgpParams.from_seed(0, alpha_z=alpha_z)
+
+    def test_a_nan_alpha0_band_run_fails_instead_of_returning_no_points(self):
+        with pytest.raises(ParameterError, match="alpha0 must be finite"):
+            run_pate_band(n_max=1000, peek_every=500, gamma=1.5,
+                          dgp_params=PartialIdDgpParams.from_seed(0, alpha0=math.nan))
+
+    @pytest.mark.parametrize("dgp, given", [
+        ("late", "partial_id"), ("partial_id", "late"),
+    ])
+    def test_coverage_dgp_params_of_the_wrong_class_rejected(self, dgp, given):
+        expected = DGPS[dgp].__name__
+        with pytest.raises(ParameterError, match=f"dgp_params must be a {expected}"):
+            run_coverage(dgp=dgp, estimand="ate", reps=1, n_max=500,
+                         dgp_params=DGPS[given].from_seed(0))
+
+    def test_band_dgp_params_of_the_wrong_class_rejected(self):
+        with pytest.raises(ParameterError, match="dgp_params must be a PartialIdDgpParams"):
+            run_pate_band(n_max=1000, peek_every=500, dgp_params=LateDgpParams.from_seed(0))
