@@ -24,7 +24,6 @@ from .engine import (
     StreamConfig,
     excludes_zero,
     pate_band,
-    sign_determined,
     width_below,
 )
 from .errors import (

@@ -35,8 +35,7 @@ class MixtureParams:
             raise ParameterError(f"rho must be a positive real, got {self.rho}")
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.dim < 1:
-            raise ParameterError(f"dim must be >= 1, got {self.dim}")
+        _check_count("dim", self.dim)
 
 
 @dataclass(frozen=True)
@@ -55,17 +54,12 @@ class Interval:
     def is_empty(self) -> bool:
         return self.lower > self.upper
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
-
-def _validate_n(n: int) -> None:
-    if n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
+def _check_count(name: str, value) -> None:
+    """Raise ParameterError unless ``value`` is a whole number >= 1; NaN and
+    inf fail, and so does 2.5, but 100.0 passes."""
+    if not (1 <= value < math.inf and value % 1 == 0):
+        raise ParameterError(f"{name} must be a positive integer, got {value}")
 
 
 def scalar_radius(n: int, params: MixtureParams, sigma_hat: float) -> float:
@@ -75,9 +69,9 @@ def scalar_radius(n: int, params: MixtureParams, sigma_hat: float) -> float:
     log(sqrt(n rho^2 + 1)/alpha))``: strictly decreasing in n and linear in
     sigma_hat. This is the d=1 specialization of :func:`region_threshold`.
     """
-    _validate_n(n)
-    if sigma_hat < 0:
-        raise ParameterError(f"sigma_hat must be nonnegative, got {sigma_hat}")
+    _check_count("n", n)
+    if not (0.0 <= sigma_hat < math.inf):
+        raise ParameterError(f"sigma_hat must be finite and nonnegative, got {sigma_hat}")
     rho2 = params.rho * params.rho
     factor = 2.0 * (n * rho2 + 1.0) / (n * n * rho2)
     logterm = math.log(math.sqrt(n * rho2 + 1.0) / params.alpha)
@@ -92,7 +86,7 @@ def region_threshold(n: int, params: MixtureParams) -> float:
     ``2(n rho^2 + 1)/(n^2 rho^2) * log((n rho^2 + 1)^{d/2}/alpha)``.
     Monotone increasing in the dimension d.
     """
-    _validate_n(n)
+    _check_count("n", n)
     rho2 = params.rho * params.rho
     factor = 2.0 * (n * rho2 + 1.0) / (n * n * rho2)
     logterm = (params.dim / 2.0) * math.log(n * rho2 + 1.0) - math.log(params.alpha)
@@ -122,10 +116,9 @@ def tune_rho(alpha: float, m: int, sigma_sq_m: float) -> float:
     small enough that the numerator is positive: 0 < alpha < 0.8700259...
     """
     numerator = _rho_numerator(alpha)
-    if m < 1:
-        raise ParameterError(f"m must be a positive integer, got {m}")
-    if not (sigma_sq_m > 0):
-        raise ParameterError(f"sigma_sq_m must be positive, got {sigma_sq_m}")
+    _check_count("m", m)
+    if not (0.0 < sigma_sq_m < math.inf):
+        raise ParameterError(f"sigma_sq_m must be finite and positive, got {sigma_sq_m}")
     denominator = sigma_sq_m * m * math.log(max(m, math.e))
     return math.sqrt(numerator / denominator)
 

@@ -60,7 +60,6 @@ __all__ = [
     "BandPoint",
     "excludes_zero",
     "width_below",
-    "sign_determined",
     "pate_band",
 ]
 
@@ -250,10 +249,7 @@ class StreamConfig:
     def __post_init__(self):
         if self.estimand not in ESTIMANDS:
             raise ParameterError(f"estimand must be one of {ESTIMANDS}, got {self.estimand!r}")
-        if self.rho is None:
-            _rho_numerator(self.alpha)  # checks alpha; the first peek tunes rho at it
-        else:
-            MixtureParams(self.rho, self.alpha)  # checks rho and alpha
+        _MixtureSequence(self.alpha, self.rho)  # checks alpha and rho
         FoldPlan(self.k_folds)  # checks k_folds
         if not self.k_folds <= self.burn_in <= sys.float_info.max:  # NaN fails too
             raise ParameterError(
@@ -320,7 +316,7 @@ class StopRule:
     width: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("excludes_zero", "width_below", "sign_determined"):
+        if self.kind not in ("excludes_zero", "width_below"):
             raise ParameterError(f"unknown stop rule {self.kind!r}")
         if self.kind != "width_below" and self.width is not None:
             raise ParameterError(f"{self.kind} takes no width, got {self.width}")
@@ -334,10 +330,6 @@ def excludes_zero() -> StopRule:
 
 def width_below(width: float) -> StopRule:
     return StopRule("width_below", width)
-
-
-def sign_determined() -> StopRule:
-    return StopRule("sign_determined")
 
 
 @dataclass(frozen=True)
@@ -358,6 +350,40 @@ class BandPoint:
     upper: float
     lower_estimate: float
     upper_estimate: float
+
+
+class _MixtureSequence:
+    """The confidence sequence of one stream. rho is tuned at the first step
+    unless given, and frozen from then on. ``step(n, theta, sigma_sq)``
+    returns the mixture interval at time n and the running intersection of
+    every interval so far; a step that raises changes nothing."""
+
+    def __init__(self, alpha: float, rho: float | None = None):
+        if rho is None:
+            _rho_numerator(alpha)  # checks alpha; the first step tunes rho at it
+        else:
+            MixtureParams(rho, alpha)  # checks rho and alpha
+        self.alpha, self.rho = alpha, rho
+        self.running: Interval | None = None
+
+    def step(self, n: int, theta: float, sigma_sq: float) -> tuple[Interval, Interval]:
+        if not (math.isfinite(theta) and math.isfinite(sigma_sq)):
+            raise DgpError(
+                f"the estimate {theta} or its variance {sigma_sq} at n={n} is not finite"
+            )
+        if self.rho is None and not sigma_sq > 0:
+            # rho cannot be tuned to a zero variance; a later step may see some.
+            raise NotReadyError("variance estimate is zero, so rho cannot be tuned yet; peek deferred")
+        rho = self.rho if self.rho is not None else tune_rho(self.alpha, n, sigma_sq)
+        if not 0.0 < rho < math.inf:
+            raise DgpError(f"rho cannot be tuned to the variance {sigma_sq} at n={n}")
+        radius = scalar_radius(n, MixtureParams(rho, self.alpha, 1), math.sqrt(sigma_sq))
+        raw = Interval(theta - radius, theta + radius)
+        if not (math.isfinite(raw.lower) and math.isfinite(raw.upper)):
+            raise DgpError(f"the confidence bounds at n={n} are not finite")
+        self.rho = rho
+        self.running = intersect_step(self.running, raw)
+        return raw, self.running
 
 
 class _GrowArray:
@@ -402,7 +428,7 @@ class Stream:
         # The loss weights of the gamma and nu nuisances, by bundle key.
         self._weights = {nuis.key: effective_gamma(gamma, nuis.side)
                          for nuis in self._estimand.nuisances if nuis.side is not None}
-        self.rho: float | None = config.rho
+        self._sequence = _MixtureSequence(config.alpha, config.rho)
         self.peek_log: list[CsPoint] = []
         self.stopped_at: int | None = None
         self.post_stop_pushes = 0
@@ -417,6 +443,10 @@ class Stream:
         # Score moments of the rows scored since the last refit; None until
         # the first peek after a refit rescores every row.
         self._moments: ScoreMoments | None = None
+
+    @property
+    def rho(self) -> float | None:  # the mixture scale: the given one, or tuned at the first peek
+        return self._sequence.rho
 
     # -- ingestion ----------------------------------------------------------
 
@@ -681,30 +711,12 @@ class Stream:
                 self._refit(n)
             fit = self._solve(n, refit)
         theta, sigma_sq = float(fit.theta_hat), float(fit.sigma_sq_hat)
-        if not (math.isfinite(theta) and math.isfinite(sigma_sq)):
-            raise DgpError(
-                f"the estimate {theta} or its variance {sigma_sq} at n={n} is not finite"
-            )
-        if self.rho is None and not sigma_sq > 0:
-            # rho cannot be tuned to a zero variance; a later peek may see some.
-            raise NotReadyError("variance estimate is zero, so rho cannot be tuned yet; peek deferred")
-        rho = self.rho if self.rho is not None else tune_rho(cfg.alpha, n, sigma_sq)
-        if not 0.0 < rho < math.inf:
-            raise DgpError(f"rho cannot be tuned to the variance {sigma_sq} at n={n}")
-        sigma_hat = math.sqrt(sigma_sq)
-        radius = scalar_radius(n, MixtureParams(rho, cfg.alpha, 1), sigma_hat)
-        raw = Interval(theta - radius, theta + radius)
-        if not (math.isfinite(raw.lower) and math.isfinite(raw.upper)):
-            raise DgpError(f"the confidence bounds at n={n} are not finite")
-        self.rho = rho
+        raw, running = self._sequence.step(n, theta, sigma_sq)
         self.last_fit = fit
-        last = self.peek_log[-1] if self.peek_log else None
-        seen = None if last is None else Interval(last.lower_int, last.upper_int)
-        running = intersect_step(seen, raw)
         point = CsPoint(
             n=n,
             theta_hat=theta,
-            sigma_hat=sigma_hat,
+            sigma_hat=math.sqrt(sigma_sq),
             lower=raw.lower,
             upper=raw.upper,
             lower_int=running.lower,
@@ -724,7 +736,7 @@ class Stream:
         lo, hi = point.lower_int, point.upper_int
         if rule.kind == "width_below":
             stop = (hi - lo) < rule.width
-        else:  # excludes_zero and sign_determined agree on every finite interval
+        else:  # excludes_zero
             stop = lo > 0.0 or hi < 0.0
         if stop and self.stopped_at is None:
             self.stopped_at = point.n

@@ -183,6 +183,38 @@ class TestTuneRho:
             tune_rho(0.9, 10, 1.0)
 
 
+PARAMS = MixtureParams(rho=0.1, alpha=0.05)
+
+
+# Each of these returned NaN, inf, 0.0 or a number without an error before
+# n, m and dim had to be whole numbers and the variances finite.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: MixtureParams(0.1, 0.05, dim=math.nan), id="dim-nan"),
+    pytest.param(lambda: MixtureParams(0.1, 0.05, dim=1.5), id="dim-1.5"),
+    pytest.param(lambda: scalar_radius(math.nan, PARAMS, 1.0), id="radius-n-nan"),
+    pytest.param(lambda: scalar_radius(math.inf, PARAMS, 1.0), id="radius-n-inf"),
+    pytest.param(lambda: scalar_radius(2.5, PARAMS, 1.0), id="radius-n-2.5"),
+    pytest.param(lambda: scalar_radius(100, PARAMS, math.nan), id="radius-sigma-nan"),
+    pytest.param(lambda: scalar_radius(100, PARAMS, math.inf), id="radius-sigma-inf"),
+    pytest.param(lambda: region_threshold(math.nan, PARAMS), id="threshold-n-nan"),
+    pytest.param(lambda: tune_rho(0.05, math.nan, 1.0), id="tune-m-nan"),
+    pytest.param(lambda: tune_rho(0.05, math.inf, 1.0), id="tune-m-inf"),
+    pytest.param(lambda: tune_rho(0.05, 2.5, 1.0), id="tune-m-2.5"),
+    pytest.param(lambda: tune_rho(0.05, 100, math.inf), id="tune-sigma-inf"),
+])
+def test_non_finite_and_fractional_inputs_are_rejected(call):
+    with pytest.raises(ParameterError, match="must be"):
+        call()
+
+
+def test_whole_numbers_of_any_type_are_accepted_unchanged():
+    for n in (100.0, np.int64(100), np.float64(100.0)):
+        assert scalar_radius(n, PARAMS, 2.0) == scalar_radius(100, PARAMS, 2.0)
+        assert region_threshold(n, PARAMS) == region_threshold(100, PARAMS)
+        assert tune_rho(0.05, n, 2.0) == tune_rho(0.05, 100, 2.0)
+    assert MixtureParams(0.1, 0.05, dim=2.0) == MixtureParams(0.1, 0.05, dim=2)
+
+
 def running(history):
     """The running intersection of a history: intersect_step folded over it."""
     return list(accumulate(history, intersect_step))

@@ -21,7 +21,6 @@ from seqdml import (
     gen_late,
     gen_partial_id,
     pate_band,
-    sign_determined,
     width_below,
     LateDgpParams,
     PartialIdDgpParams,
@@ -350,8 +349,13 @@ class TestCheckStop:
         assert not stream.check_stop(width_below(0.4)).stop
 
     def test_sign_determined(self):
+        # The second name for excludes_zero is gone, from both entry points.
         stream = self.make_stream_with_interval(-0.9, -0.2)
-        assert stream.check_stop("sign_determined").stop
+        with pytest.raises(ParameterError, match="unknown stop rule"):
+            StopRule("sign_determined")
+        with pytest.raises(ParameterError, match="unknown stop rule"):
+            stream.check_stop("sign_determined")
+        assert stream.stopped_at is None
 
     def test_zero_rules_decide_alike_on_finite_intervals(self):
         # Every ordered pair of grid bounds, so empty intervals (lower > upper)
@@ -362,7 +366,6 @@ class TestCheckStop:
                 stream = self.make_stream_with_interval(lower, upper)
                 outside = not (lower <= 0.0 <= upper)
                 assert stream.check_stop(excludes_zero()).stop == outside
-                assert stream.check_stop(sign_determined()).stop == outside
 
     def test_requires_a_peek(self):
         stream = Stream(StreamConfig(estimand="ate", burn_in=5, k_folds=2))
@@ -380,7 +383,6 @@ class TestCheckStop:
         ("width_below", float("nan")),
         ("width_below", None),
         ("excludes_zero", 0.5),
-        ("sign_determined", 0.5),
     ])
     def test_directly_built_rule_is_validated(self, kind, width):
         # A width rule that could never fire must not reach check_stop.
@@ -807,6 +809,36 @@ class TestTheTable:
         stream.push_batch(*generated_columns("pate_lower", 20, seed=5)).peek()
         assert calls == {"lower": 2, "upper": 2}
         assert stream._weights == {"g_t": 1.5, "nu_t": 1.5, "g_c": 1 / 1.5, "nu_c": 1 / 1.5}
+
+
+# Relative tolerance of the arm-swap relation; the worst case measured 9.7e-15.
+SWAP_REL = 1e-12
+
+
+@pytest.mark.parametrize("estimand, mirror", [
+    ("ate", "ate"), ("pate_lower", "pate_upper"), ("pate_upper", "pate_lower"),
+])
+def test_swapping_the_arms_mirrors_every_estimand(estimand, mirror):
+    # With a and 1 - a swapped, the treated arm's code runs on the control
+    # arm's rows and the other way round: each estimate and each bound is
+    # the negative of the mirror's, and each standard error is the mirror's.
+    columns, _ = gen_partial_id(1500, PartialIdDgpParams.from_seed(0), seed=[0, 1])
+    swapped = Columns(columns.y, 1.0 - columns.a, columns.X)
+
+    def peek_log(name, cols):
+        stream = Stream(StreamConfig(estimand=name, burn_in=300, gamma=1.5,
+                                     gamma_spec=LearnerSpec(kind="gbt", n_rounds=20)))
+        for n in range(300, 1501, 300):
+            stream.push_batch(*cols.rows(stream.n, n)).peek()
+        return stream.peek_log
+
+    close = lambda value: pytest.approx(value, rel=SWAP_REL, abs=0.0)
+    for point, image in zip(peek_log(estimand, columns), peek_log(mirror, swapped), strict=True):
+        assert point.n == image.n
+        assert point.theta_hat == close(-image.theta_hat)
+        assert point.sigma_hat == close(image.sigma_hat)
+        assert (point.lower, point.upper) == close((-image.upper, -image.lower))
+        assert (point.lower_int, point.upper_int) == close((-image.upper_int, -image.lower_int))
 
 
 def counted_forests(monkeypatch):

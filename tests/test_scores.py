@@ -19,6 +19,7 @@ from seqdml import (
     plr_score,
 )
 from seqdml.errors import EstimandError, NuisanceError, ParameterError
+from seqdml.scores import effective_gamma
 
 
 def obs(y, a, x=(0.0,), z=None):
@@ -345,23 +346,28 @@ def make_late_dgp():
     return support, eta0, theta0
 
 
-def make_partial_id_dgp(gamma=2.0):
-    """Two-point outcome law per x whose asymmetric-loss minimizer is exact."""
+def make_partial_id_dgp(gamma=2.0, arm="treated", side="lower"):
+    """Two-point outcome law per x in one arm whose asymmetric-loss
+    minimizer is exact. The control arm mirrors the treated one: its rows
+    carry the outcomes, with probability 1 - e. g (the g1 field) is the
+    side's loss minimizer, at weight Gamma for lower and 1/Gamma for upper."""
     e_of = {0.0: 0.4, 1.0: 0.6}
     y_lo = {0.0: -1.0, 1.0: -0.5}
     y_hi = {0.0: 2.0, 1.0: 3.0}
     p_lo, p_hi = 0.3, 0.7
+    weight = effective_gamma(GammaParam(gamma), side)
     g1_of = {
-        xv: (p_hi * y_hi[xv] + gamma * p_lo * y_lo[xv]) / (p_hi + gamma * p_lo)
+        xv: (p_hi * y_hi[xv] + weight * p_lo * y_lo[xv]) / (p_hi + weight * p_lo)
         for xv in (0.0, 1.0)
     }
-    nu = p_hi + gamma * p_lo
+    nu = p_hi + weight * p_lo
+    observed = 1 if arm == "treated" else 0
     support = []
     for xv in (0.0, 1.0):
-        e = e_of[xv]
+        p_arm = e_of[xv] if arm == "treated" else 1 - e_of[xv]
         for yv, py in ((y_lo[xv], p_lo), (y_hi[xv], p_hi)):
-            support.append((0.5 * e * py, obs(yv, 1, x=(xv,))))
-        support.append((0.5 * (1 - e), obs(0.0, 0, x=(xv,))))
+            support.append((0.5 * p_arm * py, obs(yv, observed, x=(xv,))))
+        support.append((0.5 * (1 - p_arm), obs(0.0, 1 - observed, x=(xv,))))
 
     def eta0(o):
         xv = o.x[0]
@@ -370,9 +376,7 @@ def make_partial_id_dgp(gamma=2.0):
     def theta0():
         total = 0.0
         for w, o in support:
-            total += w * partial_id_score(
-                o, eta0(o), GammaParam(gamma), "treated", "lower"
-            ).psi_b
+            total += w * partial_id_score(o, eta0(o), GammaParam(gamma), arm, side).psi_b
         return total
 
     return support, eta0, theta0()
@@ -422,9 +426,25 @@ class TestGateauxOrthogonality:
         )
 
     def test_partial_id_orthogonal(self):
-        support, eta0, theta0 = make_partial_id_dgp()
-        score = lambda o, nuis: partial_id_score(o, nuis, GammaParam(2.0), "treated", "lower")
-        self.check_directions(score, support, eta0, theta0, ("g1", "e", "nu"))
+        # All four bounds: each arm, each side, at two strengths of confounding.
+        for arm in ("treated", "control"):
+            for side in ("lower", "upper"):
+                for gamma in (2.0, 5.0):
+                    support, eta0, theta0 = make_partial_id_dgp(gamma, arm, side)
+                    score = lambda o, nuis, g=GammaParam(gamma), arm=arm, side=side: (
+                        partial_id_score(o, nuis, g, arm, side))
+                    self.check_directions(score, support, eta0, theta0, ("g1", "e", "nu"),
+                                          tol=1e-9)
+
+    @pytest.mark.parametrize("arm", ["treated", "control"])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_partial_id_nu_has_no_room_at_gamma_one(self, arm, side):
+        # nu's range is [1, 1] at Gamma = 1, so any shift of nu leaves it.
+        support, eta0, theta0 = make_partial_id_dgp(1.0, arm, side)
+        score = lambda o, nuis: partial_id_score(o, nuis, GammaParam(1.0), arm, side)
+        self.check_directions(score, support, eta0, theta0, ("g1", "e"))
+        with pytest.raises(NuisanceError, match="outside"):
+            self.check_directions(score, support, eta0, theta0, ("nu",))
 
     def test_naive_plugin_score_is_not_orthogonal(self):
         support, eta0, theta0 = make_ate_dgp()
