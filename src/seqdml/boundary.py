@@ -3,6 +3,7 @@
 Everything here is pure double-precision arithmetic: the mixture radius and
 region threshold for a given sample size, the rho tuning rule that aims the
 boundary at the first peeking time, and running intersections of intervals.
+A result out of floating-point range raises ParameterError.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ class MixtureParams:
     def __post_init__(self):
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ParameterError(f"rho must be a positive real, got {self.rho}")
+        # The factor 2(n rho^2 + 1)/(n^2 rho^2) of the boundary is largest at n = 1.
+        rho2 = self.rho * self.rho
+        if not (rho2 > 0 and math.isfinite(2.0 * (rho2 + 1.0) / rho2)):
+            raise ParameterError(f"rho={self.rho} is out of range: 2(rho^2 + 1)/rho^2 is not finite")
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         _check_count("dim", self.dim)
@@ -75,7 +80,7 @@ def scalar_radius(n: int, params: MixtureParams, sigma_hat: float) -> float:
     rho2 = params.rho * params.rho
     factor = 2.0 * (n * rho2 + 1.0) / (n * n * rho2)
     logterm = math.log(math.sqrt(n * rho2 + 1.0) / params.alpha)
-    return sigma_hat * math.sqrt(factor * logterm)
+    return _finite(sigma_hat * math.sqrt(factor * logterm), f"the radius at n={n}")
 
 
 def region_threshold(n: int, params: MixtureParams) -> float:
@@ -90,7 +95,14 @@ def region_threshold(n: int, params: MixtureParams) -> float:
     rho2 = params.rho * params.rho
     factor = 2.0 * (n * rho2 + 1.0) / (n * n * rho2)
     logterm = (params.dim / 2.0) * math.log(n * rho2 + 1.0) - math.log(params.alpha)
-    return factor * logterm
+    return _finite(factor * logterm, f"the threshold at n={n}")
+
+
+def _finite(value: float, what: str) -> float:
+    """``value``, or ParameterError when it is inf or NaN."""
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} is {value}, out of floating-point range")
+    return value
 
 
 def _rho_numerator(alpha: float) -> float:
@@ -120,7 +132,12 @@ def tune_rho(alpha: float, m: int, sigma_sq_m: float) -> float:
     if not (0.0 < sigma_sq_m < math.inf):
         raise ParameterError(f"sigma_sq_m must be finite and positive, got {sigma_sq_m}")
     denominator = sigma_sq_m * m * math.log(max(m, math.e))
-    return math.sqrt(numerator / denominator)
+    rho = math.sqrt(numerator / denominator)
+    if not 0.0 < rho < math.inf:  # the denominator over- or underflowed
+        raise ParameterError(
+            f"rho tuned to sigma_sq_m={sigma_sq_m} at m={m} is {rho}, out of floating-point range"
+        )
+    return rho
 
 
 def intersect_step(running: Interval | None, new: Interval) -> Interval:

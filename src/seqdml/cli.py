@@ -184,6 +184,8 @@ def _resolve_out_dir(value: str | None) -> Path:
 
 def _validate_header(header: list[str]) -> tuple[bool, int]:
     """Check the exact column layout y, a, [z,] x1..xd; return (has_z, d)."""
+    if header:  # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        header = [header[0].removeprefix("\ufeff"), *header[1:]]
     cols = [c.strip() for c in header]
     if len(cols) < 3 or cols[0] != "y" or cols[1] != "a":
         raise IngestError(
@@ -198,14 +200,14 @@ def _validate_header(header: list[str]) -> tuple[bool, int]:
     return has_z, len(x_cols)
 
 
-def _parse_binary(value: str, what: str, lineno: int) -> int:
+def _parse_binary(value: str, what: str, lineno: int) -> float:
     try:
         num = float(value)
     except ValueError:
         raise _DataFailure(f"line {lineno}: {what} value {value!r} is not numeric")
     if num not in (0.0, 1.0):
         raise _DataFailure(f"line {lineno}: {what} must be 0 or 1, got {value}")
-    return int(num)
+    return num
 
 
 def _needs_z(estimand: str) -> bool:
@@ -238,19 +240,20 @@ def _row_values(row: list[str], lineno: int, n_cols: int, has_z: bool) -> list[f
     return [y, a, *z, *x]
 
 
-def _parse_block(rows: list[list[str]], n_cols: int, has_z: bool) -> np.ndarray | None:
-    """The rows' cells as a (rows, n_cols) float array when every row is
-    valid, else None: one vectorised check of what _row_values checks."""
-    if set(map(len, rows)) != {n_cols}:
+def _parse_lines(lines: list[str], n_cols: int, has_z: bool) -> np.ndarray | None:
+    """The lines as a (lines, n_cols) float array, parsed in C, when each is
+    a valid row of unquoted numbers, else None; the values are _row_values'."""
+    text = "".join(lines)
+    # loadtxt warns on blank lines alone, and strips \x1c-\x1f, which float() refuses.
+    if text.isspace() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
         return None
     try:
-        values = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:
         return None
-    values = values.reshape(len(rows), n_cols)
-    if not (_binary(values[:, 1 : 3 if has_z else 2]).all() and np.isfinite(values).all()):
-        return None
-    return values
+    # loadtxt skips blank lines, so a short row count means one.
+    ok = values.shape == (len(lines), n_cols) and np.isfinite(values).all()
+    return values if ok and _binary(values[:, 1 : 3 if has_z else 2]).all() else None
 
 
 def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
@@ -258,19 +261,18 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
     (z None without a 'z' column), a block at a time.
 
     A block ends at the row count ``next_peek(rows read so far)`` when that
-    is given, and holds at most _BLOCK_ROWS rows. A block that fails the
-    vectorised check is parsed row by row, which reports the first bad row
-    with its line number.
+    is given, and holds at most _BLOCK_ROWS rows. A block of lines that
+    _parse_lines refuses is read again as CSV records and parsed row by row,
+    which reports the first bad row with its line number.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise _DataFailure(f"cannot read {path}: {exc}")
     with fh:
-        reader = csv.reader(fh)
         try:
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise IngestError(f"{path} is empty; a header row is required")
             has_z, d = _validate_header(header)
@@ -281,15 +283,16 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
             n = 0
             while True:
                 size = _BLOCK_ROWS if next_peek is None else min(next_peek(n) - n, _BLOCK_ROWS)
-                rows = list(itertools.islice(reader, size))
-                if not rows:
+                lines = list(itertools.islice(fh, size))
+                if not lines:
                     return
-                values = _parse_block(rows, n_cols, has_z)
-                if values is None:
+                values = _parse_lines(lines, n_cols, has_z)
+                if values is None:  # read again as records: a quoted field may span lines
+                    rows = itertools.islice(csv.reader(itertools.chain(lines, fh)), size)
                     values = np.array([
                         _row_values(row, n + 2 + i, n_cols, has_z) for i, row in enumerate(rows)
                     ])
-                del rows  # the cells' strings are not needed past here
+                del lines  # the lines' strings are not needed past here
                 n += len(values)
                 yield values[:, 0], values[:, 1], values[:, x_start:], values[:, 2] if has_z else None
         except UnicodeDecodeError as exc:

@@ -374,10 +374,14 @@ class _MixtureSequence:
         if self.rho is None and not sigma_sq > 0:
             # rho cannot be tuned to a zero variance; a later step may see some.
             raise NotReadyError("variance estimate is zero, so rho cannot be tuned yet; peek deferred")
-        rho = self.rho if self.rho is not None else tune_rho(self.alpha, n, sigma_sq)
-        if not 0.0 < rho < math.inf:
-            raise DgpError(f"rho cannot be tuned to the variance {sigma_sq} at n={n}")
-        radius = scalar_radius(n, MixtureParams(rho, self.alpha, 1), math.sqrt(sigma_sq))
+        try:
+            rho = self.rho if self.rho is not None else tune_rho(self.alpha, n, sigma_sq)
+        except ParameterError:  # rho over- or underflows
+            raise DgpError(f"rho cannot be tuned to the variance {sigma_sq} at n={n}") from None
+        try:  # a tuned rho, or the radius, may be out of floating-point range
+            radius = scalar_radius(n, MixtureParams(rho, self.alpha, 1), math.sqrt(sigma_sq))
+        except ParameterError:
+            radius = math.inf  # reported below as bounds that are not finite
         raw = Interval(theta - radius, theta + radius)
         if not (math.isfinite(raw.lower) and math.isfinite(raw.upper)):
             raise DgpError(f"the confidence bounds at n={n} are not finite")

@@ -207,6 +207,31 @@ def test_non_finite_and_fractional_inputs_are_rejected(call):
         call()
 
 
+# Each of these returned inf or NaN, or was accepted, before a result out
+# of floating-point range raised; 1.055e-154 is about the smallest rho whose
+# factor 2(rho^2 + 1)/rho^2 at n = 1 is finite.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: MixtureParams(1e-160, 0.05), id="rho-1e-160"),
+    pytest.param(lambda: MixtureParams(1e-154, 0.05), id="rho-1e-154"),
+    pytest.param(lambda: MixtureParams(1e154, 0.05), id="rho-1e154"),
+    pytest.param(lambda: scalar_radius(1, MixtureParams(1.06e-154, 0.05), 1.0), id="radius-inf"),
+    pytest.param(lambda: scalar_radius(1, MixtureParams(1.06e-154, 0.05), 0.0), id="radius-nan"),
+    pytest.param(lambda: scalar_radius(10**9, MixtureParams(1e150, 0.05), 1.0), id="radius-n-rho2"),
+    pytest.param(lambda: region_threshold(1, MixtureParams(1.06e-154, 0.05)), id="threshold-inf"),
+    pytest.param(lambda: tune_rho(0.05, 100, 1e-320), id="tune-inf"),
+    pytest.param(lambda: tune_rho(0.05, 10**6, 1e308), id="tune-zero"),
+])
+def test_results_out_of_floating_point_range_are_rejected(call):
+    with pytest.raises(ParameterError, match="out of (range|floating-point range)"):
+        call()
+
+
+def test_a_rho_just_in_range_is_accepted():
+    params = MixtureParams(1.06e-154, 0.05)
+    assert math.isfinite(scalar_radius(10, params, 0.5))
+    assert math.isfinite(region_threshold(10, params))
+
+
 def test_whole_numbers_of_any_type_are_accepted_unchanged():
     for n in (100.0, np.int64(100), np.float64(100.0)):
         assert scalar_radius(n, PARAMS, 2.0) == scalar_radius(100, PARAMS, 2.0)

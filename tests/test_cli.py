@@ -425,6 +425,16 @@ class TestMonitor:
         assert err.startswith(f"seqdml: failure: {data} is not ") and err.count("\n") == 1
         assert "byte 0xff cannot be decoded" in err
 
+    @pytest.mark.parametrize("command", ["monitor", "diagnose"])
+    def test_a_byte_order_mark_before_the_header_is_ignored(self, tmp_path, capsys, command):
+        # Excel's "CSV UTF-8" export writes one.
+        data = write_ate_csv(tmp_path / "data.csv", n=300, seed=4)
+        argv = [command, "--input", str(data), "--estimand", "ate"]
+        plain = run_cli(argv, capsys)
+        data.write_bytes("\ufeff".encode() + data.read_bytes())
+        assert run_cli(argv, capsys) == plain
+        assert plain[0] == 0 and plain[2] == ""
+
     def test_records_before_undecodable_bytes_are_written(self, tmp_path, capsys):
         data = write_ate_csv(tmp_path / "data.csv", n=400, seed=8)
         argv = ["monitor", "--input", str(data), "--estimand", "ate",
@@ -452,6 +462,12 @@ class TestMonitor:
         assert code == 2
         assert "k_folds" in err
         assert out == ""
+
+    def test_rho_out_of_range_is_a_usage_error_before_the_input_is_read(self, tmp_path, capsys):
+        code, out, err = run_cli(["monitor", "--input", str(tmp_path / "missing.csv"),
+                                  "--estimand", "ate", "--rho", "1e-160"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "seqdml: error: rho=1e-160 is out of range: 2(rho^2 + 1)/rho^2 is not finite\n"
 
     def test_alpha_too_large_for_the_tuning_rule_is_a_usage_error(self, tmp_path, capsys):
         data = write_ate_csv(tmp_path / "data.csv", n=300, seed=4)

@@ -1,7 +1,9 @@
 """The column ingest path: ``Stream.push_batch`` against per-row pushes, the
-CLI's vectorised block check against its per-row parser, and the simulated
-columns against the per-row ``Observation`` generators they replace."""
+CLI's block reader against its per-row parser, and the simulated columns
+against the per-row ``Observation`` generators they replace."""
 
+import csv
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +19,8 @@ from seqdml import (
     gen_late,
     gen_partial_id,
 )
-from seqdml.cli import _DataFailure, _parse_block, _row_values
+from seqdml import cli
+from seqdml.cli import _DataFailure, _parse_lines, _read_blocks, _row_values
 from seqdml.engine import ESTIMANDS
 from seqdml.errors import IngestError, NotReadyError, ParameterError
 
@@ -170,18 +173,26 @@ def test_minus_zero_is_stored_as_zero():
         assert all(math.copysign(1.0, v) == 1.0 for v in values.tolist())
 
 
-# -- the CLI's vectorised block check against the per-row parser -------------
+# -- the CLI's block reader against the per-row parser ----------------------
 
+# Cells for the corpus: numbers in forms only float() reads, non-numbers,
+# non-finite and non-binary values, and the ASCII separators \x1c-\x1f that
+# np.loadtxt strips around a number and float() refuses.
 TOKENS = ["", "oops", "nan", "NaN", "inf", "-inf", "2", "-0", "0.5", "1e0", " 1", "1_0",
-          "0x1", "-1", "True", "1.0", "0", "1", "1e400", "-2.5e-3", "0.0", "+1"]
+          "0x1", "-1", "True", "1.0", "0", "1", "1e400", "-2.5e-3", "0.0", "+1",
+          "１", "1e5_0", "\t-0.0 ", "\xa00.5", "1\x1c", "\x1f0", '"0.5"', '"1"', '"x"']
+
+
+def clean_row(rng, n_cols):
+    row = [repr(float(rng.normal())), str(int(rng.integers(0, 2))), str(int(rng.integers(0, 2)))]
+    row += [repr(float(v)) for v in rng.normal(size=n_cols - 3)]
+    return row[:n_cols]
 
 
 def corrupted_rows(rng, count, n_cols):
     rows = []
     for _ in range(count):
-        row = [repr(float(rng.normal())), str(int(rng.integers(0, 2))), str(int(rng.integers(0, 2)))]
-        row += [repr(float(v)) for v in rng.normal(size=n_cols - 3)]
-        row = row[:n_cols]
+        row = clean_row(rng, n_cols)
         for _ in range(int(rng.choice([0, 0, 1, 2]))):
             row[int(rng.integers(0, n_cols))] = str(rng.choice(TOKENS))
         change = rng.uniform()
@@ -197,34 +208,159 @@ def corrupted_rows(rng, count, n_cols):
 
 def per_row(row, n_cols, has_z):
     try:
-        return _row_values(row, 7, n_cols, has_z)
+        return _row_values(next(csv.reader([",".join(row)])), 7, n_cols, has_z)
     except _DataFailure:
         return None
 
 
+def bits(values):
+    """Equal bit patterns for equal values: -0.0 and NaN count."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("has_z", [False, True])
-def test_block_check_rejects_exactly_the_rows_the_parser_rejects(has_z):
+def test_block_parse_accepts_only_rows_the_parser_accepts(has_z):
     n_cols = 5 if has_z else 4
     rng = np.random.default_rng(64 + has_z)
     rows = corrupted_rows(rng, 4000, n_cols)
-    rejected = 0
+    accepted = rejected = 0
     for row in rows:
         want = per_row(row, n_cols, has_z)
-        got = _parse_block([row], n_cols, has_z)
-        assert (got is None) == (want is None), row
-        if want is None:
-            rejected += 1
-        else:
-            assert got.tolist() == [[float(v) for v in want]], row
+        got = _parse_lines([",".join(row) + "\n"], n_cols, has_z)
+        if got is not None:
+            assert want is not None, row
+            assert bits(got) == bits([want]), row
+            accepted += 1
+        rejected += want is None
     assert 500 < rejected < 3500
-    # A block is accepted exactly when each of its rows is.
+    assert accepted > 2000
+    # A block is accepted only when each of its rows is.
     for start in range(0, 4000, 37):
         chunk = rows[start:start + int(rng.integers(1, 40))]
-        got = _parse_block(chunk, n_cols, has_z)
-        want = [per_row(row, n_cols, has_z) for row in chunk]
-        assert (got is None) == any(w is None for w in want)
+        got = _parse_lines([",".join(row) + "\r\n" for row in chunk], n_cols, has_z)
         if got is not None:
-            assert got.tolist() == [[float(v) for v in w] for w in want]
+            assert bits(got) == bits([per_row(row, n_cols, has_z) for row in chunk])
+
+
+def oracle_blocks(path, n_cols, has_z, next_peek):
+    """The row parser alone: CSV records, in blocks that end where the
+    reader's do, each parsed with _row_values."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        n = 0
+        while True:
+            size = min(next_peek(n) - n, cli._BLOCK_ROWS)
+            rows = list(itertools.islice(reader, size))
+            if not rows:
+                return
+            yield np.array([
+                _row_values(row, n + 2 + i, n_cols, has_z) for i, row in enumerate(rows)
+            ])
+            n += len(rows)
+
+
+def outcome(blocks):
+    """The blocks that ``blocks`` yields, and the error that ended it as
+    (type, message), or None."""
+    got = []
+    try:
+        for block in blocks:
+            got.append(block)
+    except _DataFailure as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+def random_file(rng, path, n_cols, has_z):
+    """A CSV with one random line ending, and at a random rate blank and
+    whitespace-only lines, multi-line quoted records and corrupted_rows; the
+    final newline is sometimes missing."""
+    eol = str(rng.choice(["\n", "\r\n", "\r"]))
+    header = ["y", "a"] + (["z"] if has_z else []) + [f"x{j + 1}" for j in range(n_cols - 2 - has_z)]
+    lines = [",".join(header)]
+    rate = rng.choice([0.0, 0.002, 0.02, 0.2])
+    for _ in range(int(rng.integers(1, 300))):
+        row = clean_row(rng, n_cols)
+        kind = rng.uniform() / rate if rate else 1.0
+        if kind < 0.05:
+            lines.append(str(rng.choice(["", "  ", "\t"])))
+        elif kind < 0.1:
+            # float() strips the newline, so the record stays valid.
+            row[-1] = f'"{row[-1]}\n"'
+        elif kind < 1.0:
+            row = corrupted_rows(rng, 1, n_cols)[0]
+        lines.append(",".join(row))
+    text = eol.join(lines) + (eol if rng.uniform() < 0.8 else "")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return text
+
+
+@pytest.mark.filterwarnings("error")  # loadtxt warns on a block of blank lines
+@pytest.mark.parametrize("has_z", [False, True])
+def test_the_block_reader_equals_the_row_parser(has_z, tmp_path, monkeypatch):
+    n_cols = 5 if has_z else 4
+    estimand = "late" if has_z else "ate"
+    rng = np.random.default_rng(66 + has_z)
+    parse_lines, refused = cli._parse_lines, []
+
+    def counted(*args):
+        values = parse_lines(*args)
+        refused.append(values is None)
+        return values
+
+    monkeypatch.setattr(cli, "_parse_lines", counted)
+    outcomes = []
+    for trial in range(300):
+        path = tmp_path / f"{trial}.csv"
+        quoted = '\n"' in random_file(rng, path, n_cols, has_z)
+        burn_in, cadence = int(rng.integers(1, 50)), int(rng.integers(1, 50))
+
+        def next_peek(n):
+            return burn_in if n < burn_in else n + cadence - (n - burn_in) % cadence
+
+        # Small blocks also exercise the cap on a block's rows.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", int(rng.choice([7, 4096])))
+        got, got_error = outcome(
+            np.column_stack([y, a, *([] if z is None else [z]), X])
+            for y, a, X, z in _read_blocks(str(path), estimand, next_peek)
+        )
+        want, want_error = outcome(oracle_blocks(path, n_cols, has_z, next_peek))
+        assert got_error == want_error, path.read_text()[:2000]
+        assert list(map(bits, got)) == list(map(bits, want))
+        outcomes.append((want_error is None, quoted))
+    # Both paths ran, and files were read to the end, some with multi-line records.
+    assert 0 < sum(refused) < len(refused)
+    assert 10 < sum(done for done, _ in outcomes) < 290
+    assert any(done and quoted for done, quoted in outcomes)
+
+
+@pytest.mark.parametrize("estimand", ESTIMANDS)
+def test_repr_written_files_never_reach_the_row_parser(estimand, tmp_path, monkeypatch, capsys):
+    # The benchmark's and the golden fixtures' format: csv.writer, CRLF
+    # lines, repr(float) outcomes and covariates, 0/1 treatment and instrument.
+    columns = generated_columns(estimand, 700, 68)
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        d = columns.X.shape[1]
+        has_z = columns.z is not None
+        writer.writerow(["y", "a"] + ["z"] * has_z + [f"x{j + 1}" for j in range(d)])
+        z = columns.z if has_z else [None] * len(columns.y)
+        for y, a, zi, x in zip(columns.y.tolist(), columns.a.tolist(), z, columns.X.tolist()):
+            writer.writerow([repr(y), int(a)] + ([int(zi)] if has_z else []) + [repr(v) for v in x])
+    row_values, lines = cli._row_values, []
+
+    def counted(row, lineno, *args):
+        lines.append(lineno)
+        return row_values(row, lineno, *args)
+
+    monkeypatch.setattr(cli, "_row_values", counted)
+    code = cli.main(["monitor", "--input", str(path), "--estimand", estimand,
+                     "--burn-in", "100", "--peek-every", "25", "--gamma", "1.5"])
+    capsys.readouterr()
+    assert code == 0 and lines == []
 
 
 # -- simulated columns against the per-row generators ------------------------

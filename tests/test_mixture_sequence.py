@@ -125,6 +125,8 @@ def test_a_failed_step_changes_nothing():
     sequence = _MixtureSequence(ALPHA)
     with pytest.raises(DgpError, match="rho cannot be tuned"):
         sequence.step(100, 0.0, 1e-320)  # rho overflows to inf
+    with pytest.raises(DgpError, match="confidence bounds at n=100 are not finite"):
+        sequence.step(100, 0.0, 1.5e-310)  # a finite rho, about 1.1e154, out of range
     assert sequence.rho is None and sequence.running is None
     _raw, first = sequence.step(100, 0.0, 1e300)  # a radius of about 1.8e299
     rho = sequence.rho
