@@ -46,30 +46,31 @@ class _DataFailure(SeqdmlError):
 _USAGE_ERRORS = (ParameterError, EstimandError, IngestError)
 
 # (type, default) for every configurable key, per command. Config files may
-# set any of these; unknown keys are rejected.
+# set any of these; unknown keys are rejected. A key left unset whose default
+# is None is not passed on, so it takes the library's default.
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "simulate": {
         "dgp": (str, None),
         "mode": (str, None),
-        "reps": (int, None),  # coverage mode only; unset means 200
-        "n_max": (int, 5000),
+        "reps": (int, None),  # coverage mode only
+        "n_max": (int, None),
         "peek_every": (int, 250),
         "burn_in": (int, None),
-        "alpha": (float, 0.05),
+        "alpha": (float, None),
         "seed": (int, 0),
-        "gamma": (float, None),  # partial-id only; unset means exp(0.6), or 1 in coverage
-        "tau": (float, None),  # partial-id only; unset means -0.5
-        "k_folds": (int, None),  # band mode only; unset means 5
+        "gamma": (float, None),  # partial-id only; unset means 1 in coverage mode
+        "tau": (float, None),  # partial-id only
+        "k_folds": (int, None),  # band mode only
         "out_dir": (str, None),
     },
     "monitor": {
         "input": (str, None),
         "estimand": (str, None),
-        "alpha": (float, 0.05),
-        "burn_in": (int, 100),
+        "alpha": (float, None),
+        "burn_in": (int, None),
         "peek_every": (int, 100),
-        "k_folds": (int, 5),
-        "gamma": (float, 1.0),
+        "k_folds": (int, None),
+        "gamma": (float, None),
         "seed": (int, 0),  # accepted but changes nothing: monitoring draws no random numbers
         "rho": (float, None),
         "stop_rule": (str, None),
@@ -79,9 +80,9 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     "diagnose": {
         "input": (str, None),
         "estimand": (str, None),
-        "alpha": (float, 0.05),
-        "k_folds": (int, 5),
-        "gamma": (float, 1.0),
+        "alpha": (float, None),
+        "k_folds": (int, None),
+        "gamma": (float, None),
         "seed": (int, 0),  # accepted but changes nothing: diagnosing draws no random numbers
         "c0": (float, 0.05),
         "c1": (float, 100.0),
@@ -130,7 +131,7 @@ def _read_config_file(path: str, schema: dict[str, tuple]) -> dict:
     values = {}
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -168,6 +169,12 @@ def _merged_options(args: argparse.Namespace) -> dict:
     if merged.get("peek_every", 1) < 1:
         raise ParameterError(f"--peek-every must be >= 1, got {merged['peek_every']}")
     return merged
+
+
+def _given(opts: dict, *keys: str, **renamed: str) -> dict:
+    """The options among ``keys``, and ``renamed``'s values under its keys, that are set."""
+    names = {key: key for key in keys} | renamed
+    return {name: opts[key] for name, key in names.items() if opts[key] is not None}
 
 
 def _resolve_out_dir(value: str | None) -> Path:
@@ -263,16 +270,19 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
     A block ends at the row count ``next_peek(rows read so far)`` when that
     is given, and holds at most _BLOCK_ROWS rows. A block of lines that
     _parse_lines refuses is read again as CSV records and parsed row by row,
-    which reports the first bad row with its line number.
+    which reports the first bad row with its line number. A record that the
+    csv module cannot read, such as a field past its size limit, is
+    reported with the line it was read to.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise _DataFailure(f"cannot read {path}: {exc}")
     with fh:
+        reader, start = csv.reader(fh), 0  # start: the file lines before the reader's first
         try:
             try:
-                header = next(csv.reader(fh))
+                header = next(reader)
             except StopIteration:
                 raise IngestError(f"{path} is empty; a header row is required")
             has_z, d = _validate_header(header)
@@ -288,9 +298,10 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
                     return
                 values = _parse_lines(lines, n_cols, has_z)
                 if values is None:  # read again as records: a quoted field may span lines
-                    rows = itertools.islice(csv.reader(itertools.chain(lines, fh)), size)
+                    reader, start = csv.reader(itertools.chain(lines, fh)), n + 1
                     values = np.array([
-                        _row_values(row, n + 2 + i, n_cols, has_z) for i, row in enumerate(rows)
+                        _row_values(row, n + 2 + i, n_cols, has_z)
+                        for i, row in enumerate(itertools.islice(reader, size))
                     ])
                 del lines  # the lines' strings are not needed past here
                 n += len(values)
@@ -300,6 +311,8 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
                 f"{path} is not {exc.encoding} text: byte 0x{exc.object[exc.start]:02x} "
                 f"cannot be decoded ({exc.reason})"
             ) from None
+        except csv.Error as exc:
+            raise _DataFailure(f"line {start + reader.line_num}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -324,33 +337,30 @@ def _cmd_simulate(opts: dict) -> int:
     if mode == "band" and dgp != "partial-id":
         raise ParameterError("band mode requires --dgp partial-id")
     if mode == "coverage" and opts["k_folds"] is not None:
-        raise ParameterError("--k-folds applies to band mode only; coverage runs use 5 folds")
+        raise ParameterError("--k-folds applies to band mode only; coverage runs use "
+                             f"{StreamConfig.k_folds} folds")
     if mode == "band" and opts["reps"] is not None:
         raise ParameterError("--reps applies to coverage mode only; band mode runs "
                              "one pate_lower and one pate_upper stream")
     for key in ("gamma", "tau"):
         if dgp == "late" and opts[key] is not None:
             raise ParameterError(f"--{key} applies to --dgp partial-id only")
-    peek_every = opts["peek_every"]
-    burn_in = opts["burn_in"] if opts["burn_in"] is not None else peek_every
-    tau = -0.5 if opts["tau"] is None else opts["tau"]
+    run = dict(peek_every=opts["peek_every"], seed=opts["seed"],
+               **_given(opts, "n_max", "burn_in", "alpha"))
+    design = _given(opts, "tau", gamma_data="gamma")
     # The output directory is created only once the run has returned, so a
     # run that fails creates nothing.
 
     if mode == "coverage":
         dgp_params = None if dgp == "late" else sim.PartialIdDgpParams.from_seed(
-            opts["seed"], tau=tau, gamma_data=1.0 if opts["gamma"] is None else opts["gamma"]
+            opts["seed"], **{"gamma_data": 1.0, **design}
         )
         result = sim.run_coverage(
             dgp="late" if dgp == "late" else "partial_id",
             estimand="late" if dgp == "late" else "ate",
-            reps=200 if opts["reps"] is None else opts["reps"],
-            n_max=opts["n_max"],
-            peek_every=peek_every,
-            alpha=opts["alpha"],
-            seed=opts["seed"],
-            burn_in=burn_in,
             dgp_params=dgp_params,
+            **run,
+            **_given(opts, "reps"),
         )
         out_dir = _resolve_out_dir(opts["out_dir"])
         (out_dir / "peeks").mkdir(exist_ok=True)
@@ -362,17 +372,10 @@ def _cmd_simulate(opts: dict) -> int:
         print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'curves.csv'}")
         return 0
 
-    gamma_data = opts["gamma"] if opts["gamma"] is not None else math.exp(0.6)
-    params = sim.PartialIdDgpParams.from_seed(opts["seed"], tau=tau, gamma_data=gamma_data)
     result = sim.run_pate_band(
-        n_max=opts["n_max"],
-        peek_every=peek_every,
-        burn_in=burn_in,
-        gamma=gamma_data,
-        alpha=opts["alpha"],
-        seed=opts["seed"],
-        dgp_params=params,
-        k_folds=5 if opts["k_folds"] is None else opts["k_folds"],
+        dgp_params=sim.PartialIdDgpParams.from_seed(opts["seed"], **design),
+        **run,
+        **_given(opts, "k_folds"),
     )
     band_path = _resolve_out_dir(opts["out_dir"]) / "band.csv"
     with open(band_path, "w", newline="") as fh:
@@ -398,14 +401,9 @@ def _stop_rule(opts: dict) -> StopRule | None:
 def _cmd_monitor(opts: dict, stdout) -> int:
     rule = _stop_rule(opts)
     stream = Stream(StreamConfig(
-        estimand=opts["estimand"],
-        alpha=opts["alpha"],
-        k_folds=opts["k_folds"],
-        burn_in=opts["burn_in"],
-        rho=opts["rho"],
-        gamma=opts["gamma"],
+        estimand=opts["estimand"], **_given(opts, "alpha", "k_folds", "burn_in", "rho", "gamma")
     ))
-    burn_in, cadence = opts["burn_in"], opts["peek_every"]
+    burn_in, cadence = stream.config.burn_in, opts["peek_every"]
 
     def due(n: int) -> bool:
         return n >= burn_in and (n - burn_in) % cadence == 0
@@ -453,9 +451,9 @@ def _cmd_diagnose(opts: dict, stdout) -> int:
     estimand = opts["estimand"]
     # Built before the input is read, so option errors come first. The one
     # peek comes after every row: with burn_in = k_folds it runs at any n >= K.
-    k_folds = opts["k_folds"]
-    stream = Stream(StreamConfig(estimand=estimand, alpha=opts["alpha"], k_folds=k_folds,
-                                 burn_in=k_folds, gamma=opts["gamma"]))
+    k_folds = StreamConfig.k_folds if opts["k_folds"] is None else opts["k_folds"]
+    stream = Stream(StreamConfig(estimand=estimand, k_folds=k_folds, burn_in=k_folds,
+                                 **_given(opts, "alpha", "gamma")))
     blocks = list(_read_blocks(opts["input"], estimand))
     n = sum(len(y) for y, _a, _X, _z in blocks)
     out = lambda text: stdout.write(text + "\n")
@@ -504,50 +502,50 @@ def _cmd_diagnose(opts: dict, stdout) -> int:
     return 0
 
 
+def _summary(path: Path) -> list[str]:
+    """The report lines for one artifact: curves.csv, band.csv or peeks.ndjson."""
+    if path.name == "peeks.ndjson":
+        records = [json.loads(line) for line in path.read_text().splitlines() if line]
+        points = [r for r in records if "estimate" in r]
+        if not points:
+            return []
+        last = points[-1]
+        return [f"monitor: {len(points)} peeks, final n={last['n']} "
+                f"interval=[{last['lower_int']:.4f}, {last['upper_int']:.4f}]"]
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if path.name == "curves.csv":
+        by_method = {row["method"]: row for row in rows}
+        return [
+            f"{method}: final n={row['n']} cumulative miscoverage="
+            f"{float(row['cum_miscoverage']):.4f} mean width={float(row['mean_width']):.4f}"
+            for method, row in sorted(by_method.items())
+        ]
+    if not rows:
+        return []
+    last = rows[-1]
+    lower, upper = float(last["lower_band"]), float(last["upper_band"])
+    return [f"band: final n={last['n']} interval=[{lower:.4f}, {upper:.4f}] "
+            f"width={upper - lower:.4f}"]
+
+
 def _cmd_report(opts: dict, stdout) -> int:
     out_dir = Path(opts["out_dir"])
     if not out_dir.is_dir():
         raise ParameterError(f"{out_dir} is not a directory")
-    out = lambda text: stdout.write(text + "\n")
-    found = False
-    curves = out_dir / "curves.csv"
-    if curves.is_file():
-        found = True
-        with open(curves, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        by_method: dict[str, dict] = {}
-        for row in rows:
-            by_method[row["method"]] = row
-        for method, row in sorted(by_method.items()):
-            out(
-                f"{method}: final n={row['n']} cumulative miscoverage="
-                f"{float(row['cum_miscoverage']):.4f} mean width={float(row['mean_width']):.4f}"
-            )
-    band = out_dir / "band.csv"
-    if band.is_file():
-        found = True
-        with open(band, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if rows:
-            last = rows[-1]
-            width = float(last["upper_band"]) - float(last["lower_band"])
-            out(
-                f"band: final n={last['n']} interval=[{float(last['lower_band']):.4f}, "
-                f"{float(last['upper_band']):.4f}] width={width:.4f}"
-            )
-    peeks = out_dir / "peeks.ndjson"
-    if peeks.is_file():
-        found = True
-        records = [json.loads(line) for line in peeks.read_text().splitlines() if line]
-        points = [r for r in records if "estimate" in r]
-        if points:
-            last = points[-1]
-            out(
-                f"monitor: {len(points)} peeks, final n={last['n']} "
-                f"interval=[{last['lower_int']:.4f}, {last['upper_int']:.4f}]"
-            )
-    if not found:
-        raise _DataFailure(f"no known artifacts (curves.csv, band.csv, peeks.ndjson) in {out_dir}")
+    names = ("curves.csv", "band.csv", "peeks.ndjson")
+    paths = [out_dir / name for name in names if (out_dir / name).is_file()]
+    if not paths:
+        raise _DataFailure(f"no known artifacts ({', '.join(names)}) in {out_dir}")
+    lines = []
+    for path in paths:
+        try:
+            lines += _summary(path)
+        except KeyError as exc:
+            raise _DataFailure(f"{path}: no {exc} field") from None
+        except (TypeError, ValueError, csv.Error) as exc:  # including JSON and decoding errors
+            raise _DataFailure(f"{path}: {exc}") from None
+    stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

@@ -73,25 +73,13 @@ class PartialIdDgpParams:
             raise ParameterError("mu and beta must have length d")
 
     @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        d: int = 4,
-        tau: float = -0.5,
-        gamma_data: float = math.exp(0.6),
-        alpha0: float = 0.0,
-    ) -> "PartialIdDgpParams":
+    def from_seed(cls, seed: int, **design) -> "PartialIdDgpParams":
+        """Draw mu, then beta, from seed; ``design`` sets any other field."""
+        d = design.get("d", cls.d)
         _check_design(d)
         rng = np.random.default_rng([seed, 0xD6])
-        return cls(
-            mu=tuple(rng.standard_normal(d)),
-            beta=tuple(rng.standard_normal(d)),
-            d=d,
-            tau=tau,
-            gamma_data=gamma_data,
-            alpha0=alpha0,
-            seed=seed,
-        )
+        mu = tuple(rng.standard_normal(d))
+        return cls(mu=mu, beta=tuple(rng.standard_normal(d)), seed=seed, **design)
 
 
 @dataclass(frozen=True)
@@ -115,24 +103,12 @@ class LateDgpParams:
             raise ParameterError("beta must have length d")
 
     @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        d: int = 2,
-        theta: float = 3.0,
-        alpha_z: float = 2.0,
-        p_instrument: float = 0.4,
-    ) -> "LateDgpParams":
+    def from_seed(cls, seed: int, **design) -> "LateDgpParams":
+        """Draw beta from seed; ``design`` sets any other field."""
+        d = design.get("d", cls.d)
         _check_design(d)
         rng = np.random.default_rng([seed, 0x1A7E])
-        return cls(
-            beta=tuple(rng.normal(0.0, math.sqrt(0.5), d)),
-            d=d,
-            theta=theta,
-            alpha_z=alpha_z,
-            p_instrument=p_instrument,
-            seed=seed,
-        )
+        return cls(beta=tuple(rng.normal(0.0, math.sqrt(0.5), d)), seed=seed, **design)
 
 
 @dataclass(frozen=True)
@@ -301,16 +277,17 @@ def run_coverage(
     """
     if reps < 1:
         raise ParameterError(f"reps must be >= 1, got {reps}")
-    if dgp not in ("late", "partial_id"):
+    # The generator is looked up here, not bound at import, so a wrapper
+    # installed on this module's name is the one that runs.
+    if dgp == "late":
+        cls, effect, generate = LateDgpParams, "theta", gen_late
+    elif dgp == "partial_id":
+        cls, effect, generate = PartialIdDgpParams, "tau", gen_partial_id
+    else:
         raise ParameterError(f"dgp must be 'late' or 'partial_id', got {dgp!r}")
     grid, burn_in = _peek_grid(n_max, peek_every, burn_in)
-
-    if dgp == "late":
-        params = _params(dgp_params, LateDgpParams, seed)
-        truth = params.theta
-    else:
-        params = _params(dgp_params, PartialIdDgpParams, seed)
-        truth = params.tau
+    params = _params(dgp_params, cls, seed)
+    truth = getattr(params, effect)
 
     # Imported here, its only use: scipy.stats takes about half a second to
     # import, which every CLI command and `import seqdml` would pay.
@@ -326,10 +303,7 @@ def run_coverage(
     peek_logs: list[list[CsPoint]] = []
 
     for rep in range(reps):
-        if dgp == "late":
-            columns, _ = gen_late(n_max, params, seed=[seed, 1 + rep])
-        else:
-            columns, _ = gen_partial_id(n_max, params, seed=[seed, 1 + rep])
+        columns, _ = generate(n_max, params, seed=[seed, 1 + rep])
         stream = Stream(config)
         for j, n in enumerate(grid):
             stream.push_batch(*columns.rows(stream.n, n))

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, artifacts, determinism."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import seqdml
-from seqdml import PartialIdDgpParams, gen_partial_id, run_coverage
+from seqdml import PartialIdDgpParams, StreamConfig, gen_partial_id, run_coverage, sim
 from seqdml.cli import main
 
 
@@ -270,6 +271,18 @@ class TestSimulate:
         assert "bogus_key" in err
         assert not out.exists()
 
+    def test_undecodable_config_file_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"dgp = late\nreps = \xff\n")
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["simulate", "--config", str(config), "--out-dir", str(out)], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"seqdml: error: cannot read config file {config}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("SEQDML_OUT_DIR", str(target))
@@ -434,6 +447,22 @@ class TestMonitor:
         data.write_bytes("\ufeff".encode() + data.read_bytes())
         assert run_cli(argv, capsys) == plain
         assert plain[0] == 0 and plain[2] == ""
+
+    @pytest.mark.parametrize("command", ["monitor", "diagnose"])
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_a_field_past_the_csv_size_limit_is_a_data_failure(self, tmp_path, capsys,
+                                                               command, where):
+        long = '"' + "9" * (csv.field_size_limit() + 8_928) + '"'
+        data = tmp_path / "long.csv"
+        if where == "header":
+            data.write_text(f"y,a,{long}\n1.0,1,0.5\n")
+        else:
+            data.write_text(f"y,a,x1\n1.0,1,0.5\n2.0,0,{long}\n")
+        code, out, err = run_cli([command, "--input", str(data), "--estimand", "ate"], capsys)
+        assert (code, out) == (1, "")
+        line = 1 if where == "header" else 3
+        limit = csv.field_size_limit()
+        assert err == f"seqdml: failure: line {line}: field larger than field limit ({limit})\n"
 
     def test_records_before_undecodable_bytes_are_written(self, tmp_path, capsys):
         data = write_ate_csv(tmp_path / "data.csv", n=400, seed=8)
@@ -636,3 +665,84 @@ class TestReport:
         empty.mkdir()
         code, _, err = run_cli(["report", "--out-dir", str(empty)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("peeks.ndjson", b'{"n": 100}\nnot json\n', "Expecting value: line 1 column 1 (char 0)"),
+        ("curves.csv", b"n,cum_miscoverage,mean_width\n100,0.1,2.0\n", "no 'method' field"),
+        ("band.csv", b"n,lower_band,upper_band\n100,-1.0,oops\n",
+         "could not convert string to float: 'oops'"),
+        ("band.csv", b"n,lower_band,upper_band\n100,-1.0,\xff\n", "can't decode byte 0xff"),
+    ], ids=["peeks-not-json", "curves-no-method", "band-not-numeric", "band-undecodable"])
+    def test_a_malformed_artifact_is_one_failure_line(self, tmp_path, capsys, name, content,
+                                                      message):
+        (tmp_path / name).write_bytes(content)
+        code, out, err = run_cli(["report", "--out-dir", str(tmp_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"seqdml: failure: {tmp_path / name}: ") and err.count("\n") == 1
+        assert message in err
+
+
+def change_defaults(monkeypatch, func, **new):
+    """Give func the keyword defaults in new, as if the library had changed them."""
+    params = inspect.signature(func).parameters.values()
+    defaults = tuple(new.get(p.name, p.default) for p in params if p.default is not p.empty)
+    monkeypatch.setattr(func, "__defaults__", defaults)
+
+
+def artifacts(out_dir: Path) -> dict:
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def flags(**values) -> list[str]:
+    return [f"--{key.replace('_', '-')}={value!r}" for key, value in values.items()]
+
+
+class TestUnsetOptionsTakeTheLibraryDefaults:
+    """An option left unset is not passed on: the run equals one given the
+    library's default explicitly, read from the runner's signature or the
+    class's fields. Some library defaults are changed first, which checks
+    that the CLI follows them (and keeps the simulations short)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--dgp", "late"], ["--dgp", "partial-id", "--mode", "coverage"], ["--dgp", "partial-id"],
+    ], ids=["late-coverage", "partial-id-coverage", "band"])
+    def test_simulate(self, tmp_path, capsys, monkeypatch, argv):
+        change_defaults(monkeypatch, sim.run_coverage, reps=2, n_max=500, alpha=0.1)
+        change_defaults(monkeypatch, sim.run_pate_band, n_max=500, alpha=0.1, k_folds=4)
+        band = "--mode" not in argv and argv[1] == "partial-id"
+        runner = sim.run_pate_band if band else sim.run_coverage
+        given = {name: p.default for name, p in inspect.signature(runner).parameters.items()}
+        # An unset burn-in is the peek cadence, in both runners.
+        explicit = flags(n_max=given["n_max"], alpha=given["alpha"], burn_in=100)
+        explicit += flags(k_folds=given["k_folds"]) if band else flags(reps=given["reps"])
+        if argv[1] == "partial-id":
+            explicit += flags(tau=PartialIdDgpParams.tau)
+        if band:  # coverage mode's unset --gamma is 1, the CLI's own choice
+            explicit += flags(gamma=PartialIdDgpParams.gamma_data)
+        runs = []
+        for extra in ([], explicit):
+            out = tmp_path / str(len(runs))
+            code, _, err = run_cli(["simulate", "--peek-every", "100", "--seed", "3",
+                                    "--out-dir", str(out)] + argv + extra, capsys)
+            assert code == 0, err
+            runs.append(artifacts(out))
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == (1 if band else 4)
+
+    @pytest.mark.parametrize("command", ["monitor", "diagnose"])
+    def test_monitor_and_diagnose(self, tmp_path, capsys, monkeypatch, command):
+        changed = {"alpha": 0.1, "k_folds": 4, "burn_in": 120, "gamma": 1.25}
+        change_defaults(monkeypatch, StreamConfig.__init__, **changed)
+        for key, value in changed.items():
+            monkeypatch.setattr(StreamConfig, key, value)
+        # pate_lower, so that gamma changes what is printed.
+        data = write_partial_id_csv(tmp_path / "pid.csv", n=300)
+        keys = ["alpha", "k_folds", "gamma"] + (["burn_in"] if command == "monitor" else [])
+        explicit = flags(**{key: getattr(StreamConfig, key) for key in keys})
+        argv = [command, "--input", str(data), "--estimand", "pate_lower"]
+        unset = run_cli(argv, capsys)
+        assert unset[0] == 0 and unset[2] == ""
+        assert run_cli(argv + explicit, capsys) == unset
+        last = '{"n": 300, "peeks": 3,' if command == "monitor" else "orthogonality derivative"
+        assert unset[1].splitlines()[-1].startswith(last)

@@ -17,6 +17,7 @@ from seqdml import (
     run_pate_band,
 )
 from seqdml.errors import NotReadyError, ParameterError
+from seqdml.sim import _check_design
 
 
 class TestPartialIdDgp:
@@ -319,3 +320,74 @@ class TestBadDgpInputs:
     def test_band_dgp_params_of_the_wrong_class_rejected(self):
         with pytest.raises(ParameterError, match="dgp_params must be a PartialIdDgpParams"):
             run_pate_band(n_max=1000, peek_every=500, dgp_params=LateDgpParams.from_seed(0))
+
+
+def _explicit_partial_id_from_seed(seed, d=4, tau=-0.5, gamma_data=math.exp(0.6), alpha0=0.0):
+    """PartialIdDgpParams.from_seed as written with every default in its signature."""
+    _check_design(d)
+    rng = np.random.default_rng([seed, 0xD6])
+    return PartialIdDgpParams(
+        mu=tuple(rng.standard_normal(d)), beta=tuple(rng.standard_normal(d)), d=d, tau=tau,
+        gamma_data=gamma_data, alpha0=alpha0, seed=seed,
+    )
+
+
+def _explicit_late_from_seed(seed, d=2, theta=3.0, alpha_z=2.0, p_instrument=0.4):
+    """LateDgpParams.from_seed as written with every default in its signature."""
+    _check_design(d)
+    rng = np.random.default_rng([seed, 0x1A7E])
+    return LateDgpParams(
+        beta=tuple(rng.normal(0.0, math.sqrt(0.5), d)), d=d, theta=theta, alpha_z=alpha_z,
+        p_instrument=p_instrument, seed=seed,
+    )
+
+
+# Values to draw each design keyword from, some of them invalid.
+_DESIGN_VALUES = {
+    "partial_id": (_explicit_partial_id_from_seed, {
+        "d": [1, 2, 4, 7, 0, 2.5],
+        "tau": [-0.5, 0.0, 0.3, -2.0, math.nan],
+        "gamma_data": [1.0, 1.5, math.exp(0.6), 3.0, 0.9, math.inf],
+        "alpha0": [0.0, -1.0, 0.5, math.nan],
+    }),
+    "late": (_explicit_late_from_seed, {
+        "d": [1, 2, 3, 5, 0, -1],
+        "theta": [3.0, 0.0, -1.5, math.inf],
+        "alpha_z": [2.0, 0.5, 4.0, 0.0, math.nan],
+        "p_instrument": [0.4, 0.1, 0.9, 1.0],
+    }),
+}
+
+
+def _outcome(make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except ParameterError as exc:
+        return str(exc)
+
+
+class TestFromSeed:
+    """from_seed takes every default from its class's fields; the oracle is
+    the form that restated them in its signature."""
+
+    @pytest.mark.parametrize("dgp", sorted(DGPS))
+    def test_equals_the_explicit_signature_form(self, dgp):
+        explicit, values = _DESIGN_VALUES[dgp]
+        rng = np.random.default_rng(29)
+        outcomes = []
+        for _ in range(300):
+            keys = [key for key in values if rng.uniform() < 0.5]
+            design = {key: values[key][rng.integers(len(values[key]))] for key in keys}
+            seed = int(rng.integers(1000))
+            outcome = _outcome(DGPS[dgp].from_seed, seed, **design)
+            assert outcome == _outcome(explicit, seed, **design), design
+            outcomes.append(outcome)
+        assert DGPS[dgp].from_seed(0) == explicit(0)
+        made = [o for o in outcomes if isinstance(o, DGPS[dgp])]
+        assert 50 < len(made) < 250  # both built and refused designs were drawn
+
+    @pytest.mark.parametrize("dgp", sorted(DGPS))
+    @pytest.mark.parametrize("design", [{"bogus": 1}, {"seed": 3}, {"beta": (0.0, 0.0)}])
+    def test_a_keyword_that_is_not_a_design_field_is_a_type_error(self, dgp, design):
+        with pytest.raises(TypeError):
+            DGPS[dgp].from_seed(0, **design)
