@@ -217,11 +217,6 @@ def _parse_binary(value: str, what: str, lineno: int) -> float:
     return num
 
 
-def _needs_z(estimand: str) -> bool:
-    # An unknown estimand is reported later, when the stream is configured.
-    return estimand in _TABLE and _TABLE[estimand].needs_z
-
-
 # At most this many rows are parsed at once, so memory does not grow with
 # the peek cadence.
 _BLOCK_ROWS = 4096
@@ -272,25 +267,26 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
     _parse_lines refuses is read again as CSV records and parsed row by row,
     which reports the first bad row with its line number. A record that the
     csv module cannot read, such as a field past its size limit, is
-    reported with the line it was read to.
+    reported with the line it was read to. Line numbers are physical file
+    lines, the header's 1; a record names the line it ends on.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise _DataFailure(f"cannot read {path}: {exc}")
     with fh:
-        reader, start = csv.reader(fh), 0  # start: the file lines before the reader's first
+        reader, line = csv.reader(fh), 0  # line + reader.line_num: the line a record ends on
         try:
             try:
                 header = next(reader)
             except StopIteration:
                 raise IngestError(f"{path} is empty; a header row is required")
             has_z, d = _validate_header(header)
-            if _needs_z(estimand) and not has_z:
+            if _TABLE[estimand].needs_z and not has_z:
                 raise EstimandError(f"the {estimand} estimand requires a 'z' column")
             n_cols = 2 + (1 if has_z else 0) + d
             x_start = 3 if has_z else 2
-            n = 0
+            n, line = 0, reader.line_num  # line: the file lines before the next block
             while True:
                 size = _BLOCK_ROWS if next_peek is None else min(next_peek(n) - n, _BLOCK_ROWS)
                 lines = list(itertools.islice(fh, size))
@@ -298,11 +294,12 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
                     return
                 values = _parse_lines(lines, n_cols, has_z)
                 if values is None:  # read again as records: a quoted field may span lines
-                    reader, start = csv.reader(itertools.chain(lines, fh)), n + 1
-                    values = np.array([
-                        _row_values(row, n + 2 + i, n_cols, has_z)
-                        for i, row in enumerate(itertools.islice(reader, size))
-                    ])
+                    reader = csv.reader(itertools.chain(lines, fh))
+                    values = np.array([_row_values(row, line + reader.line_num, n_cols, has_z)
+                                       for row in itertools.islice(reader, size)])
+                    line += reader.line_num
+                else:
+                    line += len(lines)
                 del lines  # the lines' strings are not needed past here
                 n += len(values)
                 yield values[:, 0], values[:, 1], values[:, x_start:], values[:, 2] if has_z else None
@@ -312,7 +309,7 @@ def _read_blocks(path: str, estimand: str, next_peek=None) -> Iterator[tuple]:
                 f"cannot be decoded ({exc.reason})"
             ) from None
         except csv.Error as exc:
-            raise _DataFailure(f"line {start + reader.line_num}: {exc}") from None
+            raise _DataFailure(f"line {line + reader.line_num}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +451,19 @@ def _cmd_diagnose(opts: dict, stdout) -> int:
     k_folds = StreamConfig.k_folds if opts["k_folds"] is None else opts["k_folds"]
     stream = Stream(StreamConfig(estimand=estimand, k_folds=k_folds, burn_in=k_folds,
                                  **_given(opts, "alpha", "gamma")))
-    blocks = list(_read_blocks(opts["input"], estimand))
-    n = sum(len(y) for y, _a, _X, _z in blocks)
+    a_seen, z_seen = set(), set()  # the distinct treatment and instrument values
+    for y, a, X, z in _read_blocks(opts["input"], estimand):
+        stream.push_batch(y, a, X, z)
+        a_seen.update(np.unique(a).tolist())
+        z_seen.update(() if z is None else np.unique(z).tolist())
     out = lambda text: stdout.write(text + "\n")
-    out(f"diagnose: estimand={estimand} n={n}")
-
-    def constant(column: int) -> bool:
-        values = np.concatenate([block[column] for block in blocks] or [np.empty(0)])
-        return values.size == 0 or values.min() == values.max()
-
-    if constant(1):
+    out(f"diagnose: estimand={estimand} n={stream.n}")
+    if len(a_seen) < 2:
         out("identification: FAIL (treatment is constant; propensity degenerate)")
         return 0
-    if _needs_z(estimand) and constant(3):
+    if _TABLE[estimand].needs_z and len(z_seen) < 2:
         out("identification: FAIL (instrument is constant)")
         return 0
-
-    for columns in blocks:
-        stream.push_batch(*columns)
     try:
         stream.peek()
     except NotReadyError as exc:

@@ -38,17 +38,21 @@ METHOD_ASYMPCS = "asympcs"
 METHOD_BATCH = "batch"
 
 
-def _check_design(d, **finite) -> None:
-    """d must be an integer >= 1, and each of ``finite``, a number or a tuple of numbers, finite."""
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ParameterError(f"d must be an integer >= 1, got {d!r}")
+def _check_design(d=1, seed=0, **finite) -> None:
+    """d must be an integer >= 1 and seed one >= 0, NumPy integers included, and
+    each of ``finite``, a number or a tuple of numbers, finite."""
+    for name, value, low in (("d", d, 1), ("seed", seed, 0)):
+        if not (isinstance(value, (int, np.integer)) and value >= low):
+            raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
     for name, value in finite.items():
         if not np.isfinite(np.asarray(value, dtype=float)).all():
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def _params(given, cls, seed: int):
-    """``given``, which must be a ``cls``, or cls.from_seed(seed) when it is None."""
+    """``given``, which must be a ``cls``, or cls.from_seed(seed) when it is None.
+    The runners draw rows from ``seed`` either way, so it is checked either way."""
+    _check_design(seed=seed)
     if given is not None and not isinstance(given, cls):
         raise ParameterError(f"dgp_params must be a {cls.__name__}, got {type(given).__name__}")
     return cls.from_seed(seed) if given is None else given
@@ -68,7 +72,7 @@ class PartialIdDgpParams:
 
     def __post_init__(self):
         GammaParam(self.gamma_data)  # a finite real >= 1, the rule StreamConfig's gamma follows
-        _check_design(self.d, tau=self.tau, alpha0=self.alpha0, mu=self.mu, beta=self.beta)
+        _check_design(self.d, self.seed, tau=self.tau, alpha0=self.alpha0, mu=self.mu, beta=self.beta)
         if len(self.mu) != self.d or len(self.beta) != self.d:
             raise ParameterError("mu and beta must have length d")
 
@@ -76,7 +80,7 @@ class PartialIdDgpParams:
     def from_seed(cls, seed: int, **design) -> "PartialIdDgpParams":
         """Draw mu, then beta, from seed; ``design`` sets any other field."""
         d = design.get("d", cls.d)
-        _check_design(d)
+        _check_design(d, seed)
         rng = np.random.default_rng([seed, 0xD6])
         mu = tuple(rng.standard_normal(d))
         return cls(mu=mu, beta=tuple(rng.standard_normal(d)), seed=seed, **design)
@@ -98,7 +102,7 @@ class LateDgpParams:
             raise ParameterError(f"alpha_z must be a finite positive real, got {self.alpha_z}")
         if not (0.0 < self.p_instrument < 1.0):
             raise ParameterError("p_instrument must lie in (0, 1)")
-        _check_design(self.d, theta=self.theta, beta=self.beta)
+        _check_design(self.d, self.seed, theta=self.theta, beta=self.beta)
         if len(self.beta) != self.d:
             raise ParameterError("beta must have length d")
 
@@ -106,7 +110,7 @@ class LateDgpParams:
     def from_seed(cls, seed: int, **design) -> "LateDgpParams":
         """Draw beta from seed; ``design`` sets any other field."""
         d = design.get("d", cls.d)
-        _check_design(d)
+        _check_design(d, seed)
         rng = np.random.default_rng([seed, 0x1A7E])
         return cls(beta=tuple(rng.normal(0.0, math.sqrt(0.5), d)), seed=seed, **design)
 

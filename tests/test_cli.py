@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import seqdml
-from seqdml import PartialIdDgpParams, StreamConfig, gen_partial_id, run_coverage, sim
+from seqdml import PartialIdDgpParams, Stream, StreamConfig, gen_partial_id, run_coverage, sim
+from seqdml import cli
 from seqdml.cli import main
 
 
@@ -186,6 +187,10 @@ class TestSimulate:
         (["--dgp", "partial-id", "--tau", "nan"], "tau must be finite, got nan"),
         (["--dgp", "partial-id", "--mode", "coverage", "--tau=-inf"],
          "tau must be finite, got -inf"),
+        (["--dgp", "late", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["--dgp", "partial-id", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["--dgp", "partial-id", "--mode", "coverage", "--seed", "-2"],
+         "seed must be an integer >= 0, got -2"),
     ])
     def test_option_errors_leave_no_output_directory(self, tmp_path, capsys, argv, message):
         # Some of these are caught by the runners or the DGP parameters,
@@ -464,6 +469,22 @@ class TestMonitor:
         limit = csv.field_size_limit()
         assert err == f"seqdml: failure: line {line}: field larger than field limit ({limit})\n"
 
+    @pytest.mark.parametrize("command", ["monitor", "diagnose"])
+    @pytest.mark.parametrize("rows, message", [
+        (["2.0,0,0.1", "3.0,oops,0.2"], "line 5: a value 'oops' is not numeric"),
+        ([f"{i}.5,{i % 2},0.{i}" for i in range(298)] + ["3.0,2,0.2"],
+         "line 302: a must be 0 or 1, got 2"),
+        ([f"{i}.5,{i % 2},0.{i}" for i in range(198)] + ['2.0,0,"' + "9" * 140_000 + '"'],
+         f"line 202: field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["bad-a-on-line-5", "bad-a-on-line-302", "long-field-on-line-202"])
+    def test_an_error_after_a_record_that_spans_lines_names_its_physical_line(
+            self, tmp_path, capsys, command, rows, message):
+        # The first record, on lines 2-3, has a quoted outcome that ends in a newline.
+        data = tmp_path / "spans.csv"
+        data.write_text("y,a,x1\n" + '"1.0\n",1,0.5\n' + "".join(row + "\n" for row in rows))
+        code, _, err = run_cli([command, "--input", str(data), "--estimand", "ate"], capsys)
+        assert (code, err) == (1, f"seqdml: failure: {message}\n")
+
     def test_records_before_undecodable_bytes_are_written(self, tmp_path, capsys):
         data = write_ate_csv(tmp_path / "data.csv", n=400, seed=8)
         argv = ["monitor", "--input", str(data), "--estimand", "ate",
@@ -547,6 +568,28 @@ class TestDiagnose:
         )
         assert code == 0
         assert out == "diagnose: estimand=late n=40\nidentification: FAIL (instrument is constant)\n"
+
+    def test_each_block_is_pushed_before_the_next_is_read(self, tmp_path, capsys, monkeypatch):
+        # The stream holds the rows; diagnose keeps no second copy of them.
+        data = write_ate_csv(tmp_path / "data.csv", n=50, seed=1)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+        read_blocks, push_batch, events = cli._read_blocks, Stream.push_batch, []
+
+        def logged_blocks(*args):
+            for block in read_blocks(*args):
+                events.append(("read", len(block[0])))
+                yield block
+
+        def logged_push(stream, y, *args):
+            events.append(("push", len(y)))
+            return push_batch(stream, y, *args)
+
+        monkeypatch.setattr(cli, "_read_blocks", logged_blocks)
+        monkeypatch.setattr(Stream, "push_batch", logged_push)
+        code, out, _ = run_cli(["diagnose", "--input", str(data), "--estimand", "ate"], capsys)
+        assert code == 0 and out.startswith("diagnose: estimand=ate n=50\n")
+        assert "identification: pass" in out
+        assert events == [event for m in [7] * 7 + [1] for event in (("read", m), ("push", m))]
 
     def test_null_relevance_instrument_fails(self, tmp_path, capsys):
         data = write_null_relevance_late_csv(tmp_path / "weak.csv")

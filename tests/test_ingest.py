@@ -251,12 +251,11 @@ def oracle_blocks(path, n_cols, has_z, next_peek):
         n = 0
         while True:
             size = min(next_peek(n) - n, cli._BLOCK_ROWS)
-            rows = list(itertools.islice(reader, size))
+            # Each record is named by the physical line it ends on.
+            rows = [(row, reader.line_num) for row in itertools.islice(reader, size)]
             if not rows:
                 return
-            yield np.array([
-                _row_values(row, n + 2 + i, n_cols, has_z) for i, row in enumerate(rows)
-            ])
+            yield np.array([_row_values(row, line, n_cols, has_z) for row, line in rows])
             n += len(rows)
 
 

@@ -1,6 +1,8 @@
 """Data-generating processes and the coverage experiment harness."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +318,27 @@ class TestBadDgpInputs:
         with pytest.raises(ParameterError, match=f"dgp_params must be a {expected}"):
             run_coverage(dgp=dgp, estimand="ate", reps=1, n_max=500,
                          dgp_params=DGPS[given].from_seed(0))
+
+    @pytest.mark.parametrize("dgp, estimand", [("late", "late"), ("partial_id", "ate")])
+    def test_seed_must_be_a_non_negative_integer(self, dgp, estimand):
+        # The runners draw rows from their seed even when given parameters.
+        cls, given = DGPS[dgp], DGPS[dgp].from_seed(0)
+        for seed in [-1, np.int64(-3), 1.5, "0"]:
+            message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+            for make in [
+                lambda: cls.from_seed(seed),
+                lambda: dataclasses.replace(given, seed=seed),
+                lambda: run_coverage(dgp=dgp, estimand=estimand, reps=1, n_max=500, seed=seed),
+                lambda: run_coverage(dgp=dgp, estimand=estimand, reps=1, n_max=500, seed=seed,
+                                     dgp_params=given),
+                *([lambda: run_pate_band(n_max=1000, seed=seed),
+                   lambda: run_pate_band(n_max=1000, seed=seed, dgp_params=given)]
+                  if dgp == "partial_id" else []),
+            ]:
+                with pytest.raises(ParameterError, match=message):
+                    make()
+        assert cls.from_seed(np.int64(7)) == cls.from_seed(7)
+        assert dataclasses.replace(given, seed=np.uint8(0)) == given
 
     def test_band_dgp_params_of_the_wrong_class_rejected(self):
         with pytest.raises(ParameterError, match="dgp_params must be a PartialIdDgpParams"):

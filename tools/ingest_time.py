@@ -1,6 +1,6 @@
 """Time the CLI's CSV ingest on the benchmark's 50 000-row ATE CSV.
 
-    python3 tools/ingest_time.py [--seed 801] [--repeats 9]
+    python3 tools/ingest_time.py [--seed 801] [--repeats 9]   (repeats >= 2)
 
 Writes the CSV that ``bench/run.py --workload ate_monitor --seed S`` builds,
 then reads it through ``seqdml.cli._read_blocks`` in the blocks that
@@ -45,6 +45,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=801)
     parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args(argv)
+    if args.repeats < 2:  # the quartiles need two times
+        parser.error(f"--repeats must be >= 2, got {args.repeats}")
     sizes = workloads.FULL
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "ate_monitor.csv")
